@@ -106,7 +106,7 @@ fn analyse_scale(
     bench: &Benchmark,
     c: &mut Counts,
     out: &mut Vec<Outcome>,
-) -> u64 {
+) {
     let grad = differentiate(tr, bench, c);
     let forms = compile_all(tr, &grad, c);
     let [tflow, tflowc, _] = &forms[..] else {
@@ -147,7 +147,7 @@ fn analyse_scale(
 
     if errors == 0 {
         out.push(Outcome::Verdict(true));
-        return 0;
+        return;
     }
     // The verdict claims the program misbehaves; the interpreter
     // bounds-checks every access, including streams.
@@ -160,9 +160,7 @@ fn analyse_scale(
         out.push(Outcome::Verdict(!clean));
     }
     if clean {
-        errors
-    } else {
-        0
+        add(c, "ir.lint.contradicted", errors as f64);
     }
 }
 
@@ -219,22 +217,13 @@ fn tiny_checks(
 /// One round over the nine programs.
 pub fn iteration(st: &mut Analyze, tr: &Tracer, checks: &mut Checks) -> Iter {
     let mut it = Iter::default();
-    let mut tape_bytes = 0.0;
     let inject = checks.inject_mismatch;
     for prog in &st.programs {
         let mut outcomes = Vec::new();
         let t0 = Instant::now();
         tr.span("perfbench.program", || {
             for bench in &prog.scaled {
-                let before = it
-                    .counts
-                    .get("core.tape_bytes_after")
-                    .copied()
-                    .unwrap_or(0.0);
-                let contradicted =
-                    analyse_scale(tr, prog.name, bench, &mut it.counts, &mut outcomes);
-                add(&mut it.counts, "ir.lint.contradicted", contradicted as f64);
-                tape_bytes += it.counts["core.tape_bytes_after"] - before;
+                analyse_scale(tr, prog.name, bench, &mut it.counts, &mut outcomes);
             }
             tiny_checks(
                 tr,
@@ -253,6 +242,12 @@ pub fn iteration(st: &mut Analyze, tr: &Tracer, checks: &mut Checks) -> Iter {
             }
         }
     }
+    // Only the analysed scales record TflowC encodings.
+    let tape_bytes = it
+        .counts
+        .get("core.tape_bytes_after")
+        .copied()
+        .unwrap_or(0.0);
     it.counts.insert("tape_kb", tape_bytes / 1024.0);
     it
 }
