@@ -204,7 +204,7 @@ fn deterministic(st: &Sweep, c: &mut Counts) {
 pub fn finish(st: &mut Sweep, checks: &mut Checks, run: &mut Counts) {
     let opts = SimOptions::default();
     let (mut ladder_equiv, mut planner_equiv) = (Vec::new(), Vec::new());
-    for prog in &mut st.programs {
+    for prog in &st.programs {
         let (ladder, mixed) = prog.first.as_ref().expect("at least one iteration ran");
         let same = |a: &SimReport, b: &SimReport| a.to_json().render() == b.to_json().render();
 
