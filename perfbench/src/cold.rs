@@ -86,6 +86,9 @@ fn run_variant(
     add(counts, "sim.engine.nodes", nodes);
     add(counts, "sim.engine.cycles", report.cycles as f64);
     add(counts, "sim.cycles", report.cycles as f64);
+    // Freeing a layer's structure is part of that layer's cost.
+    tr.span("sim.prep", || drop(prep));
+    tr.span("ir.trace", || drop(trace));
     (report, mem)
 }
 
