@@ -383,7 +383,7 @@ fn drive<S>(
         let mut meta = Value::object();
         meta.set("workload", cfg.workload.name())
             .set("seed", cfg.seed)
-            .set("host", host_line());
+            .set("host", host_line(cfg.workload));
         spans::chrome_trace(
             &last_spans,
             &format!("perfbench {}", cfg.workload.name()),
@@ -404,9 +404,12 @@ fn drive<S>(
 }
 
 /// Host identity, as the bench harness stamps it on its own results.
-/// Every workload runs on one thread (see [`sweep`]).
-pub fn host_line() -> String {
-    let m = tapeflow_bench::hostperf::host_meta(1);
+pub fn host_line(w: Workload) -> String {
+    let jobs = match w {
+        Workload::Sweep => tapeflow_bench::pool::available_jobs(),
+        Workload::Cold | Workload::Analyze => 1,
+    };
+    let m = tapeflow_bench::hostperf::host_meta(jobs);
     format!(
         "logical_cpus={} rustc=\"{}\" opt_level={} jobs={}",
         m.logical_cpus, m.rustc, m.opt_level, m.jobs

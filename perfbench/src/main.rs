@@ -80,7 +80,7 @@ fn main() -> ExitCode {
             ms.join(" ")
         );
     }
-    println!("host {}", host_line());
+    println!("host {}", host_line(cfg.workload));
     for (program, arrays) in &out.varied {
         println!("seeded {program}: [{}]", arrays.join(", "));
     }

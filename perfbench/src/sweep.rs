@@ -4,10 +4,11 @@
 //! runs, per program, the 33-point cache ladder
 //! ([`tapeflow_bench::hostperf::LADDER`]) through one fresh
 //! [`SweepSession`], and the canonical 10-config mixed sweep
-//! ([`Lab::json_configs`]) through [`SweepPlanner::run`] on one worker.
-//! The ladder changes only cache parameters and mostly replays; the
-//! mixed sweep changes program, scratchpad and stream and mostly runs
-//! cold, so a gain for replay that costs cold runs shows here.
+//! ([`Lab::json_configs`]) through [`SweepPlanner::run_parallel`] with
+//! at most one worker per logical CPU. The ladder changes only cache
+//! parameters and mostly replays; the mixed sweep changes program,
+//! scratchpad and stream and mostly runs cold, so a gain for replay
+//! that costs cold runs shows here.
 
 use crate::common::{add, geomean, Checks, Counts};
 use crate::inputs::build_seeded;
@@ -43,12 +44,14 @@ struct Program {
 pub struct Sweep {
     programs: Vec<Program>,
     ladder: Vec<SystemConfig>,
+    jobs: usize,
 }
 
 impl std::fmt::Debug for Sweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sweep")
             .field("programs", &self.programs.len())
+            .field("jobs", &self.jobs)
             .finish()
     }
 }
@@ -90,6 +93,7 @@ pub fn setup(scale: Scale, seed: u64) -> Setup<Sweep> {
                 .iter()
                 .map(|&b| SystemConfig::with_cache_bytes(b))
                 .collect(),
+            jobs: tapeflow_bench::pool::available_jobs(),
         },
         varied,
     }
@@ -125,11 +129,7 @@ pub fn iteration(st: &mut Sweep, tr: &Tracer, checks: &mut Checks) -> Iter {
             });
             let ladder_s = t.elapsed().as_secs_f64();
             let t = Instant::now();
-            // One worker: on a 2-vCPU host, fanning the trace groups out
-            // made the run-to-run spread of this workload's wall time
-            // about 1.5x wider, because it then depends on both vCPUs'
-            // contention.
-            let mixed = tr.span("bench.planner", || prog.planner.run());
+            let mixed = tr.span("bench.planner", || prog.planner.run_parallel(st.jobs));
             (ladder, ladder_s, mixed, t.elapsed().as_secs_f64())
         });
         it.program_ms.push(t0.elapsed().as_secs_f64() * 1e3);
