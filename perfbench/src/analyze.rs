@@ -19,12 +19,11 @@
 //! operation.
 
 use crate::common::{
-    add, compile, gradients_match, shadows, variant_memory, Checks, Counts, Form, Shadows,
+    add, compile, gradients_match, shadows, variant_memory, Checks, Counts, Form, Laps, Shadows,
 };
 use crate::inputs::build_seeded;
 use crate::spans::Tracer;
 use crate::{Iter, Setup};
-use std::time::Instant;
 use tapeflow_autodiff::Gradient;
 use tapeflow_benchmarks::{Benchmark, Scale, NAMES};
 use tapeflow_core::CompiledProgram;
@@ -220,10 +219,11 @@ pub fn iteration(st: &mut Analyze, tr: &Tracer, checks: &mut Checks) -> Iter {
     let inject = checks.inject_mismatch;
     for prog in &st.programs {
         let mut outcomes = Vec::new();
-        let t0 = Instant::now();
+        let mut laps = Laps::start();
         tr.span("perfbench.program", || {
             for bench in &prog.scaled {
                 analyse_scale(tr, prog.name, bench, &mut it.counts, &mut outcomes);
+                laps.lap();
             }
             tiny_checks(
                 tr,
@@ -234,7 +234,7 @@ pub fn iteration(st: &mut Analyze, tr: &Tracer, checks: &mut Checks) -> Iter {
                 &mut outcomes,
             );
         });
-        it.program_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        it.laps_ms.push(laps.finish());
         for o in outcomes {
             match o {
                 Outcome::Output(ok, what) => checks.output(ok, || what),

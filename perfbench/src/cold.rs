@@ -8,7 +8,7 @@
 //! session.
 
 use crate::common::{
-    add, compile, geomean, gradients_match, shadows, variant_memory, Checks, Counts, Form,
+    add, compile, geomean, gradients_match, shadows, variant_memory, Checks, Counts, Form, Laps,
 };
 use crate::inputs::build_seeded;
 use crate::spans::Tracer;
@@ -52,14 +52,16 @@ struct Outcome {
     report_json: String,
 }
 
-/// Traces, preps and simulates one variant; returns the report and the
-/// memory the trace ran in (it holds the variant's gradient).
+/// Traces, preps and simulates one variant, one lap each; returns the
+/// report and the memory the trace ran in (it holds the variant's
+/// gradient).
 fn run_variant(
     tr: &Tracer,
     func: &Function,
     barrier: InstId,
     mut mem: Memory,
     counts: &mut Counts,
+    laps: &mut Laps,
 ) -> (SimReport, Memory) {
     let trace = tr.span("ir.trace", || {
         trace_function(
@@ -71,9 +73,11 @@ fn run_variant(
         )
         .expect("registry programs trace")
     });
+    laps.lap();
     let prep = tr.span("sim.prep", || {
         PreparedSim::new(&trace).expect("traces fit the arena limits")
     });
+    laps.lap();
     let sys = SystemConfig::with_cache_bytes(CACHE_BYTES);
     let t0 = Instant::now();
     let report = tr.span("sim.engine", || {
@@ -89,13 +93,23 @@ fn run_variant(
     // Freeing a layer's structure is part of that layer's cost.
     tr.span("sim.prep", || drop(prep));
     tr.span("ir.trace", || drop(trace));
+    laps.lap();
     (report, mem)
 }
 
-fn cold_one(tr: &Tracer, name: &str, scale: Scale, seed: u64, counts: &mut Counts) -> Outcome {
+fn cold_one(
+    tr: &Tracer,
+    name: &str,
+    scale: Scale,
+    seed: u64,
+    counts: &mut Counts,
+    laps: &mut Laps,
+) -> Outcome {
     let (bench, varied) = tr.span("benchmarks.build", || build_seeded(name, scale, seed));
     add(counts, "benchmarks.seeded_arrays", varied.len() as f64);
+    laps.lap();
     let grad = tr.span("autodiff.differentiate", || bench.gradient());
+    laps.lap();
     add(counts, "autodiff.tape_bytes", grad.stats.tape_bytes as f64);
     add(
         counts,
@@ -103,6 +117,7 @@ fn cold_one(tr: &Tracer, name: &str, scale: Scale, seed: u64, counts: &mut Count
         grad.stats.taped_values as f64,
     );
     let tflow = tr.span(Form::Tflow.span(), || compile(&grad, Form::Tflow, counts));
+    laps.lap();
     add(counts, "core.fwd_layers", tflow.stats.fwd_layers as f64);
     add(counts, "core.insts_after", tflow.func.insts().len() as f64);
 
@@ -112,6 +127,7 @@ fn cold_one(tr: &Tracer, name: &str, scale: Scale, seed: u64, counts: &mut Count
         grad.phase_barrier,
         variant_memory(&bench, &grad, &grad.func),
         counts,
+        laps,
     );
     let (tflow_r, tflow_mem) = run_variant(
         tr,
@@ -119,6 +135,7 @@ fn cold_one(tr: &Tracer, name: &str, scale: Scale, seed: u64, counts: &mut Count
         tflow.phase_barrier,
         variant_memory(&bench, &grad, &tflow.func),
         counts,
+        laps,
     );
     let report_json = tr.span("sim.report", || {
         let mut doc = Value::object();
@@ -142,11 +159,11 @@ pub fn iteration(st: &mut Cold, tr: &Tracer, checks: &mut Checks) -> Iter {
     let mut it = Iter::default();
     let (mut speedups, mut dram, mut energy) = (Vec::new(), 0.0, 0.0);
     for name in NAMES {
-        let t0 = Instant::now();
+        let mut laps = Laps::start();
         let out = tr.span("perfbench.program", || {
-            cold_one(tr, name, st.scale, st.seed, &mut it.counts)
+            cold_one(tr, name, st.scale, st.seed, &mut it.counts, &mut laps)
         });
-        it.program_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        it.laps_ms.push(laps.finish());
 
         let (enzyme, tflow) = (&out.enzyme.0, &out.tflow.0);
         let ok = gradients_match(

@@ -3,6 +3,7 @@
 //! gradient comparison, compilation with pass-time capture).
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 use tapeflow_autodiff::Gradient;
 use tapeflow_benchmarks::Benchmark;
 use tapeflow_core::pipeline::PipelineBuilder;
@@ -15,6 +16,39 @@ pub type Counts = BTreeMap<&'static str, f64>;
 /// Adds `v` to counter `k`.
 pub fn add(c: &mut Counts, k: &'static str, v: f64) {
     *c.entry(k).or_insert(0.0) += v;
+}
+
+/// A program's timed part, cut into consecutive laps at fixed points of
+/// the workload's code. The laps sum to the program's time, and the same
+/// program cuts into the same laps in every iteration.
+#[derive(Debug)]
+pub struct Laps {
+    last: Instant,
+    ms: Vec<f64>,
+}
+
+impl Laps {
+    /// Starts timing a program.
+    pub fn start() -> Self {
+        Laps {
+            last: Instant::now(),
+            ms: Vec::new(),
+        }
+    }
+
+    /// Ends the current lap and starts the next.
+    pub fn lap(&mut self) {
+        let now = Instant::now();
+        self.ms
+            .push(now.duration_since(self.last).as_secs_f64() * 1e3);
+        self.last = now;
+    }
+
+    /// Ends the last lap; returns every lap, in milliseconds.
+    pub fn finish(mut self) -> Vec<f64> {
+        self.lap();
+        self.ms
+    }
 }
 
 /// Pass-and-fail bookkeeping behind `attempted`, `failed` and `correct`.

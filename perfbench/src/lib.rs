@@ -13,8 +13,9 @@
 //!
 //! A run sets up the workload several times (reporting the median), then
 //! repeats whole iterations — one pass over the nine programs — until
-//! the requested seconds have passed, and reports medians over
-//! iterations. A traced run alternates untraced and traced iterations:
+//! the requested seconds have passed. End-to-end times add up the
+//! fastest time of each lap of each program; per-layer metrics are
+//! medians over traced iterations. A traced run alternates untraced and traced iterations:
 //! spans from this crate's own code around each call into a layer give
 //! per-layer self times, and the untraced iterations give the tracing
 //! overhead.
@@ -105,23 +106,32 @@ pub struct Setup<S> {
 /// One iteration's measurements.
 #[derive(Clone, Debug, Default)]
 pub struct Iter {
-    /// Timed milliseconds per program, in registry order.
-    pub program_ms: Vec<f64>,
+    /// Timed laps per program (see [`common::Laps`]), in registry order.
+    pub laps_ms: Vec<Vec<f64>>,
     /// Counters and deterministic results of the iteration.
     pub counts: Counts,
 }
 
 impl Iter {
+    /// Timed milliseconds per program, in registry order.
+    pub fn program_ms(&self) -> Vec<f64> {
+        self.laps_ms.iter().map(|l| l.iter().sum()).collect()
+    }
+
     /// The timed part of the iteration, in seconds.
     pub fn wall_s(&self) -> f64 {
-        self.program_ms.iter().sum::<f64>() / 1e3
+        self.program_ms().iter().sum::<f64>() / 1e3
     }
 }
 
 /// End-to-end metrics, printed by an untraced run. `wall_s` is the
-/// timed part of a typical iteration: the sum over programs of each
-/// program's median time, so one disturbed program in one iteration
-/// does not move it.
+/// timed part of one iteration on an undisturbed host: the sum, over
+/// every lap of every program, of that lap's fastest time in the run.
+/// On a shared host other tenants only ever add time, in phases from
+/// under a second to minutes that slow every program alike (up to about
+/// 2.4x), so a median follows the share of the run spent in a slow phase
+/// while the minimum follows the program; short laps catch short fast
+/// phases.
 pub const END_TO_END: [(&str, &str); 5] = [
     ("setup_s", "s"),
     ("wall_s", "s"),
@@ -312,7 +322,7 @@ fn drive<S>(
     let mut last_spans: Vec<Span> = Vec::new();
     let min_iters = if cfg.trace { 2 } else { 3 };
     // One untimed iteration first, so allocator growth and first-touch
-    // page faults stay out of the medians. Its checks still count.
+    // page faults stay out of the timings. Its checks still count.
     iteration(&mut state, &off, &mut checks);
     let start = Instant::now();
     loop {
@@ -357,9 +367,14 @@ fn drive<S>(
             })
             .collect()
     } else {
-        let programs = plain[0].program_ms.len();
-        let per_program: Vec<f64> = (0..programs)
-            .map(|p| median(&plain.iter().map(|i| i.program_ms[p]).collect::<Vec<_>>()))
+        let fastest = |p: usize, l: usize| {
+            plain
+                .iter()
+                .map(|i| i.laps_ms[p][l])
+                .fold(f64::INFINITY, f64::min)
+        };
+        let per_program: Vec<f64> = (plain[0].laps_ms.iter().enumerate())
+            .map(|(p, laps)| (0..laps.len()).map(|l| fastest(p, l)).sum())
             .collect();
         END_TO_END
             .iter()
@@ -398,7 +413,7 @@ fn drive<S>(
         metrics,
         varied,
         iterations: (plain.len(), traced.len()),
-        iteration_ms: plain.iter().map(|i| i.program_ms.clone()).collect(),
+        iteration_ms: plain.iter().map(Iter::program_ms).collect(),
         trace_doc,
     }
 }

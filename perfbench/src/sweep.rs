@@ -10,7 +10,7 @@
 //! scratchpad and stream and mostly runs cold, so a gain for replay
 //! that costs cold runs shows here.
 
-use crate::common::{add, geomean, Checks, Counts};
+use crate::common::{add, geomean, Checks, Counts, Laps};
 use crate::inputs::build_seeded;
 use crate::spans::Tracer;
 use crate::{Iter, Setup};
@@ -115,7 +115,7 @@ pub fn iteration(st: &mut Sweep, tr: &Tracer, checks: &mut Checks) -> Iter {
     let mut it = Iter::default();
     let opts = SimOptions::default();
     for prog in &mut st.programs {
-        let t0 = Instant::now();
+        let mut laps = Laps::start();
         let (ladder, ladder_s, mixed, mixed_s) = tr.span("perfbench.program", || {
             let t = Instant::now();
             let ladder: Vec<SimReport> = tr.span("sim.sweep", || {
@@ -124,7 +124,11 @@ pub fn iteration(st: &mut Sweep, tr: &Tracer, checks: &mut Checks) -> Iter {
                 st.ladder
                     .iter()
                     .enumerate()
-                    .map(|(k, sys)| session.simulate_lookahead(sys, n - k - 1))
+                    .map(|(k, sys)| {
+                        let r = session.simulate_lookahead(sys, n - k - 1);
+                        laps.lap();
+                        r
+                    })
                     .collect()
             });
             let ladder_s = t.elapsed().as_secs_f64();
@@ -132,7 +136,7 @@ pub fn iteration(st: &mut Sweep, tr: &Tracer, checks: &mut Checks) -> Iter {
             let mixed = tr.span("bench.planner", || prog.planner.run_parallel(st.jobs));
             (ladder, ladder_s, mixed, t.elapsed().as_secs_f64())
         });
-        it.program_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        it.laps_ms.push(laps.finish());
         prog.walls.push((ladder_s, mixed_s));
 
         let c = &mut it.counts;
