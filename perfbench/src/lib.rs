@@ -63,13 +63,22 @@ impl Workload {
         Self::ALL.into_iter().find(|w| w.name() == s)
     }
 
-    /// How many times a run sets the workload up (`setup_s` is the
-    /// median). Sweep set-up traces every program, so it repeats less.
+    /// How many times a run sets the workload up before timing
+    /// (`setup_s` is the median). Sweep set-up traces every program, so
+    /// it repeats less.
     fn setup_reps(self) -> usize {
         match self {
             Workload::Sweep => 3,
             Workload::Cold | Workload::Analyze => 15,
         }
+    }
+
+    /// Whether the run also sets the workload up again after every
+    /// timed iteration. Cold and analyze set-up takes milliseconds, so
+    /// samples taken back to back all see the host at one instant, and
+    /// the host's speed drifts by up to 2x over a run.
+    fn setup_between_iterations(self) -> bool {
+        matches!(self, Workload::Cold | Workload::Analyze)
     }
 }
 
@@ -334,6 +343,12 @@ fn drive<S>(
             last_spans = spans;
         } else {
             plain.push(iteration(&mut state, &off, &mut checks));
+        }
+        if cfg.workload.setup_between_iterations() {
+            let t = Instant::now();
+            let again = setup();
+            setup_s.push(t.elapsed().as_secs_f64());
+            drop(again);
         }
         let n = plain.len() + traced.len();
         if n >= min_iters && start.elapsed().as_secs_f64() >= cfg.seconds {
