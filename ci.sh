@@ -9,12 +9,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1 verify =="
+echo "== tier-1 verify (the whole workspace: see default-members) =="
 cargo build --release
 cargo test -q
-
-echo "== workspace tests =="
-cargo test --workspace -q
 
 echo "== profile smoke (stall attribution + provenance + chrome trace) =="
 # The profile subcommand must run end to end: the invariant-checked
@@ -80,12 +77,14 @@ TAPEFLOW_TRACE_VALIDATE=target/ci/profile_sumexp_sampled.json \
     cargo test -q --release --test profile_cli validates_trace_file_from_env
 
 echo "== lint smoke (all registered benchmarks) =="
-# Every in-tree benchmark must lint clean at the default config — any
+# Every in-tree benchmark must lint clean at the default config, at tiny
+# and at large scale (where the streaming pass emits short last tiles) — any
 # error-severity finding makes `tapeflow lint` exit 1 and fails CI under
 # `set -e`. The machine-readable report is schema-checked like the
 # profile JSON above.
 for b in gravity nn logsum matdescent mttkrp somier lenet5 pathfinder mass_spring; do
     cargo run --release --bin tapeflow -- lint "$b" --scale tiny > /dev/null
+    cargo run --release --bin tapeflow -- lint "$b" --scale large > /dev/null
 done
 cargo run --release --bin tapeflow -- \
     lint logsum --scale tiny --json target/ci/lint_logsum.json > /dev/null

@@ -1,14 +1,15 @@
 //! Whole-program value-range analysis (VRA).
 //!
-//! Where [`crate::lint`]'s interval walk bounds *index* arithmetic one
-//! instruction at a time, this module is an **array-content abstract
-//! interpretation** of the whole function: every array carries a content
-//! domain seeded from its declared [`crate::DeclRange`] (inputs), its
-//! zero-initialization ([`crate::Memory::for_function`] zero-fills
-//! `Temp` and `Tape` arrays), or ⊤ (externally writable kinds), and the
-//! domains are updated by `store` / `stream.out` and consulted by
-//! `load` / `tape.load` — so values that round-trip through the gradient
-//! tape (store → tape → load) stay bounded.
+//! This is the one integer range domain: [`crate::lint`] reads its `i64`
+//! ranges for the index rules and the `tape-compress` pass reads them to
+//! narrow tape slots. It is an **array-content abstract interpretation**
+//! of the whole function: every array carries a content domain seeded
+//! from its declared [`crate::DeclRange`] (inputs), its zero-initialization
+//! ([`crate::Memory::for_function`] zero-fills `Temp` and `Tape` arrays),
+//! or ⊤ (externally writable kinds), and the domains are updated by
+//! `store` / `stream.out` and consulted by `load` / `tape.load` — so values
+//! that round-trip through the gradient tape (store → tape → load) stay
+//! bounded.
 //!
 //! Two precision layers:
 //!
@@ -108,7 +109,7 @@ pub struct IntRange {
 }
 
 impl IntRange {
-    fn point(v: i64) -> IntRange {
+    pub(crate) fn point(v: i64) -> IntRange {
         IntRange { lo: v, hi: v }
     }
 
@@ -123,7 +124,7 @@ impl IntRange {
         self.lo <= o.lo && self.hi >= o.hi
     }
 
-    fn add(self, o: IntRange) -> Option<IntRange> {
+    pub(crate) fn add(self, o: IntRange) -> Option<IntRange> {
         Some(IntRange {
             lo: self.lo.checked_add(o.lo)?,
             hi: self.hi.checked_add(o.hi)?,
@@ -150,7 +151,7 @@ impl IntRange {
         })
     }
 
-    fn mul(self, o: IntRange) -> Option<IntRange> {
+    pub(crate) fn mul(self, o: IntRange) -> Option<IntRange> {
         self.corners(o, i64::checked_mul)
     }
 

@@ -62,19 +62,27 @@ fn seeded_fixture_tables_are_golden() {
 
 #[test]
 fn every_benchmark_lints_clean_at_default_config() {
-    for name in tapeflow::benchmarks::NAMES {
-        let out = tapeflow(&["lint", name, "--scale", "tiny"]);
-        assert!(
-            out.status.success(),
-            "{name}: lint found errors:\n{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains("0 error(s)"),
-            "{name}: unexpected summary: {stdout}"
-        );
+    // Every scale, for both the Tflow and the compressed TflowC builds:
+    // the partial tiles the streaming pass emits differ per scale.
+    for scale in ["tiny", "small", "large"] {
+        for extra in [&[][..], &["--compress-tape"][..]] {
+            for name in tapeflow::benchmarks::NAMES {
+                let mut args = vec!["lint", name, "--scale", scale];
+                args.extend_from_slice(extra);
+                let out = tapeflow(&args);
+                assert!(
+                    out.status.success(),
+                    "{name} {scale} {extra:?}: lint found errors:\n{}{}",
+                    String::from_utf8_lossy(&out.stdout),
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    stdout.contains("0 error(s)"),
+                    "{name} {scale} {extra:?}: unexpected summary: {stdout}"
+                );
+            }
+        }
     }
 }
 
