@@ -192,6 +192,14 @@ echo "== cross-engine equivalence =="
 # session must derive exactly what a cold run produces.
 cargo test -q --release -p tapeflow-bench --test equivalence
 
+echo "== perfbench smoke (Tiny runs of the benchmark workloads) =="
+# The repository benchmark (BENCHMARK.json) is a package of its own, so
+# tier-1 never builds it. Its smoke tests run `cold`, `sweep` and
+# `analyze` at Tiny with their correctness and metric-list checks — the
+# only tests that drive trace_function -> PreparedSim::new ->
+# simulate_prepared exactly as the benchmark does.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench-host smoke (host-throughput tracking) =="
 # One pass of the host-perf sweep: the subcommand must run end to end
 # and emit a schema-valid document. Throughput numbers are noisy in CI,

@@ -117,7 +117,7 @@ pub fn trace_stats(trace: &Trace) -> TraceStats {
             }
             OpClass::Sync => {}
         }
-        for &d in &n.deps {
+        for &d in trace.deps(crate::NodeId::new(i)) {
             let k = edge_kind(trace, d, crate::NodeId::new(i));
             let slot = match k {
                 EdgeKind::Fwd => 0,
@@ -191,8 +191,8 @@ pub fn edge_lifetimes(trace: &Trace, times: &[u64]) -> LifetimeStats {
     assert_eq!(times.len(), trace.len(), "one time per node required");
     let mut sums = [0f64; 3];
     let mut counts = [0u64; 3];
-    for (i, n) in trace.nodes().iter().enumerate() {
-        for &d in &n.deps {
+    for i in 0..trace.len() {
+        for &d in trace.deps(crate::NodeId::new(i)) {
             let k = edge_kind(trace, d, crate::NodeId::new(i));
             let slot = match k {
                 EdgeKind::Fwd => 0,
@@ -237,8 +237,8 @@ pub fn tape_lifetime_quantiles(
     assert!(quantiles > 0, "need at least one quantile");
     assert_eq!(times.len(), trace.len(), "one time per node required");
     let mut lifetimes = Vec::new();
-    for (i, n) in trace.nodes().iter().enumerate() {
-        for &d in &n.deps {
+    for i in 0..trace.len() {
+        for &d in trace.deps(crate::NodeId::new(i)) {
             if edge_kind(trace, d, crate::NodeId::new(i)) == EdgeKind::Tape {
                 lifetimes.push(times[i].saturating_sub(times[d.index()]));
             }
@@ -294,8 +294,8 @@ pub fn register_pressure(trace: &Trace, regs: usize) -> RegisterReport {
     let n = trace.len();
     // Last consumer of each node, in schedule order.
     let mut last_use = vec![0u32; n];
-    for (i, node) in trace.nodes().iter().enumerate() {
-        for d in &node.deps {
+    for i in 0..n {
+        for d in trace.deps(crate::NodeId::new(i)) {
             last_use[d.index()] = last_use[d.index()].max(i as u32);
         }
     }

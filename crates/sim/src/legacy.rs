@@ -16,7 +16,7 @@ use crate::probe::{CacheAccessEvent, NoProbe, ProbeGeometry, SimProbe};
 use crate::report::{EnergyReport, SimReport};
 use std::collections::{BinaryHeap, VecDeque};
 use tapeflow_ir::trace::Phase;
-use tapeflow_ir::{Op, OpClass, Trace};
+use tapeflow_ir::{NodeId, Op, OpClass, Trace};
 
 /// How many queued accesses a banked resource may inspect per cycle.
 const SPAD_SCAN_WINDOW: usize = 64;
@@ -50,8 +50,8 @@ pub fn try_simulate_probed<P: SimProbe>(
     // Successor lists in CSR form + indegrees.
     let mut indeg = vec![0u32; n];
     let mut succ_cnt = vec![0u32; n];
-    for node in trace.nodes() {
-        for d in &node.deps {
+    for i in 0..n {
+        for d in trace.deps(NodeId::new(i)) {
             succ_cnt[d.index()] += 1;
         }
     }
@@ -61,9 +61,10 @@ pub fn try_simulate_probed<P: SimProbe>(
     }
     let mut succ_dat = vec![0u32; succ_off[n] as usize];
     let mut fill = succ_off.clone();
-    for (i, node) in trace.nodes().iter().enumerate() {
-        indeg[i] = node.deps.len() as u32;
-        for d in &node.deps {
+    for (i, deg) in indeg.iter_mut().enumerate() {
+        let deps = trace.deps(NodeId::new(i));
+        *deg = deps.len() as u32;
+        for d in deps {
             let di = d.index();
             succ_dat[fill[di] as usize] = i as u32;
             fill[di] += 1;
