@@ -186,8 +186,10 @@ grep -q 'requires `value-ranges`, produced by `value-ranges`' target/ci/passes_e
 cargo test -q --release -p tapeflow-bench --test compression
 
 echo "== cross-engine equivalence =="
-# The event-driven core vs the legacy scalar oracle: reports, stall
-# attributions and Chrome traces must match byte-for-byte on all nine
+# The event-driven core vs the scalar per-cycle reference loop, which
+# no longer ships and lives only in crates/bench/tests/equivalence/
+# oracle.rs: reports, stall attributions, Chrome traces and
+# per-instruction ledgers must match byte-for-byte on all nine
 # benchmarks, probes must not perturb, and the incremental-resim
 # session must derive exactly what a cold run produces.
 cargo test -q --release -p tapeflow-bench --test equivalence
@@ -211,7 +213,7 @@ cargo run --release --bin tapeflow -- \
 python3 - target/ci/BENCH_host_perf.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "tapeflow.bench.host_perf/v2", doc.get("schema")
+assert doc["schema"] == "tapeflow.bench.host_perf/v3", doc.get("schema")
 host = doc["host"]
 assert host["logical_cpus"] > 0 and host["rustc"] and host["jobs"] > 0, host
 assert doc["ladder_bytes"] and doc["ladder_bytes"] == sorted(doc["ladder_bytes"], reverse=True)
@@ -221,9 +223,9 @@ for b in doc["benchmarks"]:
         s = b[sweep]
         assert s["configs"] > 0 and s["sim_cycles"] > 0, (b["name"], sweep)
         assert 0 < s["trace_groups"] <= s["configs"], (b["name"], sweep)
-        for eng in ("event", "legacy"):
-            e = s["engines"][eng]
-            assert e["seconds"] > 0 and e["sim_cycles_per_sec"] > 0, (b["name"], sweep, eng)
+        for run in ("session", "cold"):
+            e = s["runs"][run]
+            assert e["seconds"] > 0 and e["sim_cycles_per_sec"] > 0, (b["name"], sweep, run)
         assert s["speedup"] > 0, (b["name"], sweep)
     assert b["cache_ladder"]["configs"] == len(doc["ladder_bytes"])
     assert b["cache_ladder"]["trace_groups"] == 1, b["name"]
@@ -246,7 +248,7 @@ for b in ref["benchmarks"]:
     for sweep in ("cache_ladder", "mixed_sweep"):
         s = b[sweep]
         s["speedup"] = 0.0
-        for e in s["engines"].values():
+        for e in s["runs"].values():
             e["seconds"] = 0.0
             e["sim_cycles_per_sec"] = 0.0
 ref["geomean_ladder_speedup"] = ref["geomean_mixed_speedup"] = 0.0

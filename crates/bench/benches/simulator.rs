@@ -46,6 +46,7 @@ fn bench_simulate() {
                 &SystemConfig::baseline_32k(),
                 &SimOptions::default(),
             )
+            .expect("simulates")
         });
     }
 }

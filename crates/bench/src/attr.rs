@@ -334,7 +334,8 @@ mod tests {
             &SystemConfig::with_cache_bytes(1024),
             &SimOptions::default(),
             &mut probe,
-        );
+        )
+        .unwrap();
         let (bd, inst_bd) = probe.into_parts();
         let rows = resolve(&f, None, &inst_bd.unwrap());
         (f, rows, bd.total_units())

@@ -22,9 +22,9 @@
 //! likewise folds a `hot_spots` array per entry: the heaviest
 //! instructions by attributed PE-cycles, resolved through the IR
 //! provenance chain to their source ops, regions and layers. `--host-perf` times
-//! the sweep on both simulator engines (event-driven vs legacy scalar)
-//! and folds a `host_perf` section in; its wall-derived fields are
-//! zeroed under `--stable-json`.
+//! the sweep through sweep sessions against cold per-point runs (the
+//! `tapeflow bench-host` measurement) and folds a `host_perf` section
+//! in; its wall-derived fields are zeroed under `--stable-json`.
 
 use std::path::PathBuf;
 use tapeflow_bench::experiments::{Lab, IDS};

@@ -1,29 +1,29 @@
 //! Host-throughput measurement: simulated cycles per wall-clock second.
 //!
-//! Two sweeps are timed per benchmark, on both engines:
+//! Two sweeps are timed per benchmark, each twice — once through the
+//! sweep-reuse machinery and once as cold runs of every point:
 //!
 //! * **Cache ladder** — the gradient (Enzyme-mode) trace swept over a
 //!   descending ladder of cache sizes ([`LADDER`]). This is the
-//!   incremental-re-simulation scenario: the event core drives the whole
-//!   ladder through one [`SweepSession`], which records the first run's
-//!   per-access cache outcomes and re-simulates each subsequent size by
-//!   replaying the recorded address stream — a full match costs a cache
-//!   replay instead of a scheduler run, and a divergence resumes from
-//!   the last unchanged checkpoint. The legacy scalar loop runs every
-//!   ladder point from scratch.
+//!   incremental-re-simulation scenario: the session side drives the
+//!   whole ladder through one [`SweepSession`], which records the first
+//!   run's per-access cache outcomes and re-simulates each subsequent
+//!   size by replaying the recorded address stream — a full match costs
+//!   a cache replay instead of a scheduler run, and a divergence resumes
+//!   from the last unchanged checkpoint.
 //! * **Mixed sweep** — the canonical configuration sweep (the one
 //!   `experiments --json` reports and CI regenerates), which changes the
-//!   program between points (Enzyme vs. Tapeflow vs. AoS). The event
+//!   program between points (Enzyme vs. Tapeflow vs. AoS). The session
 //!   side runs it through a [`SweepPlanner`]: units are grouped by trace
 //!   key, each group gets one generalized sweep session (so the shared
 //!   Tapeflow trace's scratchpad/stream points replay each other's
 //!   outcome streams instead of re-running cold), and independent trace
 //!   groups fan out across `jobs` workers with order-fixed collection.
-//!   Legacy rebuilds its dependence bookkeeping from the trace every run
-//!   and burns a host iteration per simulated cycle even while only a
-//!   stream transfer is in flight.
 //!
-//! Both engines produce byte-identical reports (the equivalence suite is
+//! The cold side runs [`simulate_prepared`] once per point, serially, on
+//! the same shared arenas, so `speedup` is exactly what session reuse
+//! (and the mixed sweep's group fan-out) buys over plain event-engine
+//! runs. Both sides produce identical reports (the equivalence suite is
 //! the oracle); the cycle totals are asserted equal here as a cheap
 //! tripwire. Wall-clock derived fields are nondeterministic by nature;
 //! the JSON document ([`host_perf_json`]) zeroes them under `stable` —
@@ -36,11 +36,8 @@ use crate::harness::{geomean, sys_for, Config, Prepared, SweepPlanner};
 use std::sync::Arc;
 use std::time::Instant;
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
-use tapeflow_ir::Trace;
 use tapeflow_sim::json::Value;
-use tapeflow_sim::{
-    try_simulate_probed_with, Engine, NoProbe, SimOptions, SweepSession, SystemConfig,
-};
+use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SweepSession, SystemConfig};
 
 const KIB: usize = 1024;
 
@@ -89,18 +86,18 @@ pub const LADDER: [usize; 33] = [
     KIB,
 ];
 
-/// One engine's timing over a sweep.
+/// One side's timing over a sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct EngineTiming {
+pub struct RunTiming {
     /// Wall-clock seconds for the whole sweep (best of the repeats).
     pub seconds: f64,
     /// Simulated cycles per wall-clock second.
     pub sim_cycles_per_sec: f64,
 }
 
-impl EngineTiming {
+impl RunTiming {
     fn from(seconds: f64, cycles: u64) -> Self {
-        EngineTiming {
+        RunTiming {
             seconds,
             sim_cycles_per_sec: if seconds > 0.0 {
                 cycles as f64 / seconds
@@ -111,22 +108,22 @@ impl EngineTiming {
     }
 }
 
-/// Both engines' timings over one sweep.
+/// Session and cold timings over one sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepTiming {
     /// Configurations the sweep simulated.
     pub configs: usize,
-    /// Independent trace groups the event side planned (each drives one
-    /// sweep session; the ladder is a single group by construction).
+    /// Independent trace groups the session side planned (each drives
+    /// one sweep session; the ladder is a single group by construction).
     pub trace_groups: usize,
     /// Total simulated cycles across the sweep (identical for both
-    /// engines — asserted during measurement).
+    /// sides — asserted during measurement).
     pub sim_cycles: u64,
-    /// Event-driven core (shared arena; session reuse; group fan-out).
-    pub event: EngineTiming,
-    /// Legacy scalar loop (per-run rebuild, no gap-skipping, no reuse).
-    pub legacy: EngineTiming,
-    /// `legacy.seconds / event.seconds`.
+    /// Sweep sessions (shared arena; session reuse; group fan-out).
+    pub session: RunTiming,
+    /// One cold [`simulate_prepared`] run per point on the same arena.
+    pub cold: RunTiming,
+    /// `cold.seconds / session.seconds`.
     pub speedup: f64,
 }
 
@@ -135,17 +132,17 @@ impl SweepTiming {
         configs: usize,
         trace_groups: usize,
         sim_cycles: u64,
-        event_secs: f64,
-        legacy_secs: f64,
+        session_secs: f64,
+        cold_secs: f64,
     ) -> Self {
         SweepTiming {
             configs,
             trace_groups,
             sim_cycles,
-            event: EngineTiming::from(event_secs, sim_cycles),
-            legacy: EngineTiming::from(legacy_secs, sim_cycles),
-            speedup: if event_secs > 0.0 {
-                legacy_secs / event_secs
+            session: RunTiming::from(session_secs, sim_cycles),
+            cold: RunTiming::from(cold_secs, sim_cycles),
+            speedup: if session_secs > 0.0 {
+                cold_secs / session_secs
             } else {
                 0.0
             },
@@ -153,7 +150,7 @@ impl SweepTiming {
     }
 }
 
-/// Host throughput of one benchmark under both engines.
+/// Host throughput of one benchmark, session against cold.
 #[derive(Clone, Debug)]
 pub struct HostPerf {
     /// Benchmark name.
@@ -165,7 +162,7 @@ pub struct HostPerf {
 }
 
 /// Identity of the machine and binary that produced a measurement — the
-/// `host` section of `tapeflow.bench.host_perf/v2`. Throughput numbers
+/// `host` section of `tapeflow.bench.host_perf/v3`. Throughput numbers
 /// are only comparable when these match; the section makes silently
 /// mixing hosts in a results file impossible. All fields are scrubbed
 /// under `stable` (they differ between machines by definition).
@@ -192,10 +189,10 @@ pub fn host_meta(jobs: usize) -> HostMeta {
     }
 }
 
-/// Times the legacy engine over `(system, trace)` pairs, best of
-/// `repeats`; returns `(seconds, total cycles)`.
-fn time_legacy(
-    units: &[(SystemConfig, Arc<Trace>)],
+/// Times one cold [`simulate_prepared`] run per `(system, arena)` pair,
+/// best of `repeats`; returns `(seconds, total cycles)`.
+fn time_cold(
+    units: &[(SystemConfig, Arc<PreparedSim>)],
     opts: &SimOptions,
     repeats: usize,
 ) -> (f64, u64) {
@@ -204,10 +201,8 @@ fn time_legacy(
     for rep in 0..repeats {
         let start = Instant::now();
         let mut cycles = 0u64;
-        for (sys, trace) in units {
-            cycles += try_simulate_probed_with(Engine::Legacy, trace, sys, opts, &mut NoProbe)
-                .expect("sweep traces fit the index limits")
-                .cycles;
+        for (sys, prep) in units {
+            cycles += simulate_prepared(prep, sys, opts).cycles;
         }
         secs = secs.min(start.elapsed().as_secs_f64());
         if rep == 0 {
@@ -217,13 +212,12 @@ fn time_legacy(
     (secs, sim_cycles)
 }
 
-/// Times the cache ladder on the gradient trace: the event side drives
-/// one [`SweepSession`] down the ladder (a fresh session per repeat —
-/// the session *is* the thing being measured), the legacy side runs
-/// every point cold.
+/// Times the cache ladder on the gradient trace: the session side
+/// drives one [`SweepSession`] down the ladder (a fresh session per
+/// repeat — the session *is* the thing being measured), the cold side
+/// runs every point from scratch.
 fn measure_ladder(p: &mut Prepared, repeats: usize) -> SweepTiming {
     let config = Config::enzyme(LADDER[0]);
-    let trace = p.try_trace_shared(&config).expect("gradient always traces");
     let prep = p.try_prepared_sim(&config).expect("gradient always preps");
     let systems: Vec<SystemConfig> = LADDER
         .iter()
@@ -232,7 +226,7 @@ fn measure_ladder(p: &mut Prepared, repeats: usize) -> SweepTiming {
     let opts = SimOptions::default();
 
     let mut sim_cycles = 0u64;
-    let mut event_secs = f64::INFINITY;
+    let mut session_secs = f64::INFINITY;
     for rep in 0..repeats {
         let start = Instant::now();
         let mut session = SweepSession::new(Arc::clone(&prep), opts);
@@ -244,30 +238,30 @@ fn measure_ladder(p: &mut Prepared, repeats: usize) -> SweepTiming {
                 .simulate_lookahead(sys, systems.len() - k - 1)
                 .cycles;
         }
-        event_secs = event_secs.min(start.elapsed().as_secs_f64());
+        session_secs = session_secs.min(start.elapsed().as_secs_f64());
         if rep == 0 {
             sim_cycles = cycles;
         }
     }
 
-    let legacy_units: Vec<_> = systems
+    let cold_units: Vec<_> = systems
         .iter()
-        .map(|&sys| (sys, Arc::clone(&trace)))
+        .map(|&sys| (sys, Arc::clone(&prep)))
         .collect();
-    let (legacy_secs, legacy_cycles) = time_legacy(&legacy_units, &opts, repeats);
+    let (cold_secs, cold_cycles) = time_cold(&cold_units, &opts, repeats);
     assert_eq!(
-        legacy_cycles, sim_cycles,
-        "{}: engines disagree on ladder cycles",
+        cold_cycles, sim_cycles,
+        "{}: session and cold runs disagree on ladder cycles",
         p.bench.name
     );
-    SweepTiming::from(systems.len(), 1, sim_cycles, event_secs, legacy_secs)
+    SweepTiming::from(systems.len(), 1, sim_cycles, session_secs, cold_secs)
 }
 
-/// Times the canonical mixed sweep on both engines. The event side is
-/// the planner path production code uses: grouping, tracing and arena
-/// preparation happen once outside the timed region (both engines share
-/// them), and each repeat times exactly `planner.run_parallel(jobs)` —
-/// fresh sessions per repeat, since the sessions are the thing being
+/// Times the canonical mixed sweep. The session side is the planner
+/// path production code uses: grouping, tracing and arena preparation
+/// happen once outside the timed region (both sides share them), and
+/// each repeat times exactly `planner.run_parallel(jobs)` — fresh
+/// sessions per repeat, since the sessions are the thing being
 /// measured.
 fn measure_mixed(p: &mut Prepared, repeats: usize, jobs: usize) -> SweepTiming {
     let units: Vec<(Config, SystemConfig)> = Lab::json_configs()
@@ -279,38 +273,38 @@ fn measure_mixed(p: &mut Prepared, repeats: usize, jobs: usize) -> SweepTiming {
 
     let mut sim_cycles = 0u64;
     let mut configs = 0usize;
-    let mut event_secs = f64::INFINITY;
+    let mut session_secs = f64::INFINITY;
     for rep in 0..repeats {
         let start = Instant::now();
         let reports = planner.run_parallel(jobs);
-        event_secs = event_secs.min(start.elapsed().as_secs_f64());
+        session_secs = session_secs.min(start.elapsed().as_secs_f64());
         if rep == 0 {
             configs = reports.iter().flatten().count();
             sim_cycles = reports.iter().flatten().map(|r| r.cycles).sum();
         }
     }
 
-    let legacy_units: Vec<_> = units
+    let cold_units: Vec<_> = units
         .iter()
-        .filter_map(|(c, sys)| Some((*sys, p.try_trace_shared(c)?)))
+        .filter_map(|(c, sys)| Some((*sys, p.try_prepared_sim(c)?)))
         .collect();
-    let (legacy_secs, legacy_cycles) = time_legacy(&legacy_units, &opts, repeats);
+    let (cold_secs, cold_cycles) = time_cold(&cold_units, &opts, repeats);
     assert_eq!(
-        legacy_cycles, sim_cycles,
-        "{}: engines disagree on mixed-sweep cycles",
+        cold_cycles, sim_cycles,
+        "{}: session and cold runs disagree on mixed-sweep cycles",
         p.bench.name
     );
     SweepTiming::from(
         configs,
         planner.group_count(),
         sim_cycles,
-        event_secs,
-        legacy_secs,
+        session_secs,
+        cold_secs,
     )
 }
 
-/// Times one benchmark on both engines. `repeats` runs each sweep that
-/// many times per engine and keeps the fastest wall time (minimum is the
+/// Times one benchmark. `repeats` runs each sweep that many times per
+/// side and keeps the fastest wall time (minimum is the
 /// standard noise filter for throughput numbers); `jobs` is the worker
 /// count for the mixed sweep's trace-group fan-out (`1` = serial).
 pub fn measure_one(bench: &'static str, scale: Scale, repeats: usize, jobs: usize) -> HostPerf {
@@ -354,7 +348,7 @@ pub fn geomean_mixed_speedup(results: &[HostPerf]) -> f64 {
     geomean(&results.iter().map(|r| r.mixed.speedup).collect::<Vec<_>>())
 }
 
-/// The machine-readable document (`tapeflow.bench.host_perf/v2`).
+/// The machine-readable document (`tapeflow.bench.host_perf/v3`).
 /// `stable` zeroes every wall-clock-derived field (seconds, throughput,
 /// speedups) and every host-identity field (CPU count, compiler,
 /// opt-level, job count) so the bytes reproduce across hosts and runs;
@@ -362,24 +356,26 @@ pub fn geomean_mixed_speedup(results: &[HostPerf]) -> f64 {
 /// totals remain.
 ///
 /// v2 over v1: adds the `host` section and per-sweep `trace_groups`.
+/// v3 over v2: the per-sweep `engines` object (`event`, `legacy`)
+/// becomes `runs` (`session`, `cold`), and `speedup` is cold over
+/// session.
 pub fn host_perf_json(results: &[HostPerf], scale: Scale, meta: &HostMeta, stable: bool) -> Value {
     let scrub = |v: f64| if stable { 0.0 } else { v };
-    let timing = |t: &EngineTiming| {
+    let timing = |t: &RunTiming| {
         let mut e = Value::object();
         e.set("seconds", scrub(t.seconds))
             .set("sim_cycles_per_sec", scrub(t.sim_cycles_per_sec));
         e
     };
     let sweep = |s: &SweepTiming| {
-        let mut engines = Value::object();
-        engines
-            .set("event", timing(&s.event))
-            .set("legacy", timing(&s.legacy));
+        let mut runs = Value::object();
+        runs.set("session", timing(&s.session))
+            .set("cold", timing(&s.cold));
         let mut v = Value::object();
         v.set("configs", s.configs)
             .set("trace_groups", s.trace_groups)
             .set("sim_cycles", s.sim_cycles)
-            .set("engines", engines)
+            .set("runs", runs)
             .set("speedup", scrub(s.speedup));
         v
     };
@@ -403,7 +399,7 @@ pub fn host_perf_json(results: &[HostPerf], scale: Scale, meta: &HostMeta, stabl
         )
         .set("jobs", if stable { 0 } else { meta.jobs });
     let mut doc = Value::object();
-    doc.set("schema", "tapeflow.bench.host_perf/v2")
+    doc.set("schema", "tapeflow.bench.host_perf/v3")
         .set("scale", format!("{scale:?}"))
         .set("host", host)
         .set("ladder_bytes", Value::Arr(ladder))
@@ -423,7 +419,7 @@ pub fn render_table(results: &[HostPerf]) -> String {
     let _ = writeln!(
         out,
         "{:<12} {:>12} {:>14} {:>14} {:>9} {:>9}",
-        "bench", "sim cycles", "event Mcyc/s", "legacy Mcyc/s", "ladder", "mixed"
+        "bench", "sim cycles", "session Mcyc/s", "cold Mcyc/s", "ladder", "mixed"
     );
     for r in results {
         let _ = writeln!(
@@ -431,8 +427,8 @@ pub fn render_table(results: &[HostPerf]) -> String {
             "{:<12} {:>12} {:>14.2} {:>14.2} {:>8.2}x {:>8.2}x",
             r.name,
             r.ladder.sim_cycles + r.mixed.sim_cycles,
-            r.ladder.event.sim_cycles_per_sec / 1e6,
-            r.ladder.legacy.sim_cycles_per_sec / 1e6,
+            r.ladder.session.sim_cycles_per_sec / 1e6,
+            r.ladder.cold.sim_cycles_per_sec / 1e6,
             r.ladder.speedup,
             r.mixed.speedup
         );
@@ -461,12 +457,12 @@ mod tests {
             "canonical sweep spans several programs"
         );
         assert!(r.ladder.sim_cycles > 0 && r.mixed.sim_cycles > 0);
-        assert!(r.ladder.event.seconds > 0.0 && r.ladder.legacy.seconds > 0.0);
+        assert!(r.ladder.session.seconds > 0.0 && r.ladder.cold.seconds > 0.0);
         let doc = host_perf_json(std::slice::from_ref(&r), Scale::Tiny, &host_meta(2), false);
         let parsed = Value::parse(&doc.render()).expect("emitted JSON parses");
         assert_eq!(
             parsed.get("schema").and_then(Value::as_str),
-            Some("tapeflow.bench.host_perf/v2")
+            Some("tapeflow.bench.host_perf/v3")
         );
         let host = parsed.get("host").expect("host section");
         assert!(host.get("logical_cpus").and_then(Value::as_u64).unwrap() > 0);
@@ -489,7 +485,7 @@ mod tests {
             let s = b.get(sweep).expect(sweep);
             assert!(s.get("sim_cycles").and_then(Value::as_u64).unwrap() > 0);
             assert!(s.get("trace_groups").and_then(Value::as_u64).unwrap() > 0);
-            assert!(s.get("engines").and_then(|e| e.get("event")).is_some());
+            assert!(s.get("runs").and_then(|e| e.get("session")).is_some());
         }
     }
 
@@ -509,13 +505,13 @@ mod tests {
         for sweep in ["cache_ladder", "mixed_sweep"] {
             let s = b.get(sweep).expect(sweep);
             assert_eq!(s.get("speedup"), Some(&Value::Num(0.0)), "{sweep}");
-            for engine in ["event", "legacy"] {
-                let e = s.get("engines").and_then(|e| e.get(engine)).unwrap();
-                assert_eq!(e.get("seconds"), Some(&Value::Num(0.0)), "{sweep}/{engine}");
+            for run in ["session", "cold"] {
+                let e = s.get("runs").and_then(|e| e.get(run)).unwrap();
+                assert_eq!(e.get("seconds"), Some(&Value::Num(0.0)), "{sweep}/{run}");
                 assert_eq!(
                     e.get("sim_cycles_per_sec"),
                     Some(&Value::Num(0.0)),
-                    "{sweep}/{engine}"
+                    "{sweep}/{run}"
                 );
             }
             // The deterministic parts survive the scrub.

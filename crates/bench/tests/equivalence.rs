@@ -1,19 +1,26 @@
 //! Cross-engine equivalence: the event-driven core is a performance
-//! rework, not a model change, so the legacy scalar loop is kept as the
-//! reference oracle and every observable output must match it **byte
-//! for byte** — rendered report JSON, stall attributions, and Chrome
-//! trace timelines — across all nine paper benchmarks. A probe must
-//! also never perturb the simulation it observes, and the incremental
+//! rework, not a model change, so the scalar per-cycle loop it replaced
+//! is kept here as the reference oracle ([`oracle`]) and every
+//! observable output must match it **byte for byte** — rendered report
+//! JSON, stall attributions, Chrome trace timelines and per-instruction
+//! cycle ledgers — across all nine paper benchmarks. A probe must also
+//! never perturb the simulation it observes, and the incremental
 //! re-simulation session must derive exactly the reports a cold run
 //! produces.
 
+#[path = "equivalence/oracle.rs"]
+mod oracle;
+
 use std::sync::Arc;
+use tapeflow_bench::attr::node_to_inst;
 use tapeflow_bench::experiments::Lab;
 use tapeflow_bench::harness::{sys_for, Config, Prepared, SweepPlanner};
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
+use tapeflow_ir::trace::{trace_function, TraceOptions};
+use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Op, Scalar, Trace};
 use tapeflow_sim::{
-    simulate_prepared, try_simulate_probed_with, AttributionProbe, Engine, NoProbe, SimOptions,
-    SweepSession, SystemConfig, TraceRecorder,
+    simulate, simulate_prepared, simulate_probed, AttributionProbe, CycleBreakdown, InstBreakdown,
+    NoProbe, SimError, SimOptions, SimReport, SweepSession, SystemConfig, TraceRecorder,
 };
 
 /// Program variants exercised per benchmark: the Enzyme baseline and
@@ -27,9 +34,87 @@ fn configs() -> [Config; 3] {
     ]
 }
 
+/// Everything one probed run lets a user observe.
+struct Observed {
+    report: SimReport,
+    stalls: CycleBreakdown,
+    per_inst: InstBreakdown,
+    timeline: String,
+}
+
+/// Runs `sim` under the per-instruction attribution probe and a Chrome
+/// trace recorder, checking the attribution invariants on the way out.
+fn observe(
+    label: &str,
+    trace: &Trace,
+    sim: impl FnOnce(&mut (AttributionProbe, TraceRecorder)) -> Result<SimReport, SimError>,
+) -> Observed {
+    let map = node_to_inst(trace);
+    let insts = map.iter().max().map_or(0, |&i| i as usize + 1);
+    // Same pid/name on both engines: the Chrome traces can only differ
+    // if the simulated timelines differ.
+    let mut probe = (
+        AttributionProbe::with_inst_map(map, insts),
+        TraceRecorder::new(1, label),
+    );
+    let report = sim(&mut probe).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let (attr, recorder) = probe;
+    let (stalls, per_inst) = attr.into_parts();
+    let per_inst = per_inst.expect("per-inst mode was requested");
+    stalls
+        .check()
+        .unwrap_or_else(|e| panic!("{label}: attribution broke: {e}"));
+    per_inst
+        .check_against(&stalls)
+        .unwrap_or_else(|e| panic!("{label}: per-inst ledger broke: {e}"));
+    Observed {
+        report,
+        stalls,
+        per_inst,
+        timeline: TraceRecorder::chrome_trace([recorder]).render(),
+    }
+}
+
+/// Asserts that the event core and the oracle agree on every observable
+/// output of `trace` on `sys`; returns the event core's report.
+fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> SimReport {
+    let opts = SimOptions::default();
+    let event = observe(label, trace, |p| simulate_probed(trace, sys, &opts, p));
+    let oracle = observe(label, trace, |p| {
+        oracle::simulate_probed(trace, sys, &opts, p)
+    });
+    assert_eq!(
+        event.report.to_json().render(),
+        oracle.report.to_json().render(),
+        "{label}: report JSON differs"
+    );
+    assert_eq!(
+        event.stalls.to_json().render(),
+        oracle.stalls.to_json().render(),
+        "{label}: stall attribution differs"
+    );
+    assert!(
+        event.per_inst == oracle.per_inst,
+        "{label}: engines disagree on per-inst attribution"
+    );
+    assert_eq!(
+        event.timeline, oracle.timeline,
+        "{label}: chrome trace differs"
+    );
+    event.report
+}
+
+/// Traces a hand-built function.
+fn trace_of(build: impl FnOnce(&mut FunctionBuilder)) -> Trace {
+    let mut b = FunctionBuilder::new("t");
+    build(&mut b);
+    let f = b.finish();
+    let mut mem = Memory::for_function(&f);
+    trace_function(&f, &mut mem, TraceOptions::default()).expect("hand-built trace")
+}
+
 #[test]
 fn reports_attributions_and_traces_match_across_engines() {
-    let opts = SimOptions::default();
     let mut compared = 0usize;
     for name in NAMES {
         let mut p = Prepared::new(by_name(name, Scale::Tiny));
@@ -37,30 +122,8 @@ fn reports_attributions_and_traces_match_across_engines() {
             let Some(trace) = p.try_trace_shared(&config) else {
                 continue;
             };
-            let sys = sys_for(&config);
             let label = format!("{name}/{}", config.label());
-            let mut runs = Vec::new();
-            for engine in [Engine::Event, Engine::Legacy] {
-                // Same pid/name on both engines: the Chrome traces can
-                // only differ if the simulated timelines differ.
-                let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-                let report = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut probe)
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} failed: {e}"));
-                let (attr, recorder) = probe;
-                let breakdown = attr.into_breakdown();
-                breakdown
-                    .check()
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} attribution broke: {e}"));
-                runs.push((
-                    report.to_json().render(),
-                    breakdown.to_json().render(),
-                    TraceRecorder::chrome_trace([recorder]).render(),
-                ));
-            }
-            let (legacy, event) = (runs.pop().unwrap(), runs.pop().unwrap());
-            assert_eq!(event.0, legacy.0, "{label}: report JSON differs");
-            assert_eq!(event.1, legacy.1, "{label}: stall attribution differs");
-            assert_eq!(event.2, legacy.2, "{label}: chrome trace differs");
+            assert_engines_agree(&label, &trace, &sys_for(&config));
             compared += 1;
         }
     }
@@ -69,6 +132,36 @@ fn reports_attributions_and_traces_match_across_engines() {
         compared >= 2 * NAMES.len(),
         "only {compared} comparisons ran"
     );
+
+    let cfg = SystemConfig::default();
+    // A dependent chain of ten FP adds: the smallest trace the scalar
+    // loop runs, with a closed-form cycle count.
+    let chain = trace_of(|b| {
+        let one = b.f64(1.0);
+        let mut v = b.f64(0.0);
+        for _ in 0..10 {
+            v = b.fadd(v, one);
+        }
+    });
+    let r = assert_engines_agree("fadd chain", &chain, &cfg);
+    assert_eq!(r.fp_ops, 10);
+    assert_eq!(r.cycles, 10 * cfg.pe.fp_alu_latency);
+    // Back-to-back streams: big transfers leave long engine-busy gaps
+    // that the event core skips and the oracle crawls cycle by cycle.
+    let streams = trace_of(|b| {
+        let tape = b.array("tape", 128, ArrayKind::Tape, Scalar::F64);
+        let base = b
+            .push_inst(Op::SAlloc { size: 128, base: 0 }, vec![])
+            .unwrap();
+        let zero = b.i64(0);
+        let elems = b.i64(128);
+        for _ in 0..4 {
+            b.push_inst(Op::StreamOut(tape), vec![base, zero, elems]);
+            b.push_inst(Op::StreamIn(tape), vec![base, zero, elems]);
+        }
+    });
+    let r = assert_engines_agree("back-to-back streams", &streams, &cfg);
+    assert_eq!(r.stream_cmds, 8, "all streams executed: {r:?}");
 }
 
 #[test]
@@ -79,16 +172,20 @@ fn probes_do_not_perturb_reports() {
         let config = Config::enzyme(32 * 1024);
         let trace = p.try_trace_shared(&config).expect("gradient always traces");
         let sys = sys_for(&config);
-        for engine in [Engine::Event, Engine::Legacy] {
-            let bare = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut NoProbe)
-                .expect("bare run");
-            let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-            let probed = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut probe)
-                .expect("probed run");
+        let probe = || (AttributionProbe::new(), TraceRecorder::new(1, name));
+        let event = (
+            simulate(&trace, &sys, &opts).expect("bare run"),
+            simulate_probed(&trace, &sys, &opts, &mut probe()).expect("probed run"),
+        );
+        let oracle = (
+            oracle::simulate_probed(&trace, &sys, &opts, &mut NoProbe).expect("bare run"),
+            oracle::simulate_probed(&trace, &sys, &opts, &mut probe()).expect("probed run"),
+        );
+        for (engine, (bare, probed)) in [("event", event), ("oracle", oracle)] {
             assert_eq!(
                 bare.to_json().render(),
                 probed.to_json().render(),
-                "{name}: {engine:?} probe perturbed the report"
+                "{name}: {engine} probe perturbed the report"
             );
         }
     }
@@ -100,7 +197,7 @@ fn cross_parameter_sweeps_derive_cold_runs_on_spad_stream_traces() {
     // perturbs scratchpad and stream parameters — not just cache
     // geometry — on traces that exercise the scratchpad and stream
     // engines (the Tapeflow build). Every derived report must match a
-    // cold event run and the legacy oracle byte for byte, and the
+    // cold event run and the oracle byte for byte, and the
     // attribution/timeline artifacts must stay engine-equivalent on
     // every varied system.
     let opts = SimOptions::default();
@@ -154,27 +251,12 @@ fn cross_parameter_sweeps_derive_cold_runs_on_spad_stream_traces() {
             let derived = session.simulate(sys).to_json().render();
             let event = simulate_prepared(&prep, sys, &opts).to_json().render();
             assert_eq!(derived, event, "{label}: session vs cold event run");
-            let mut runs = Vec::new();
-            for engine in [Engine::Event, Engine::Legacy] {
-                let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-                let report = try_simulate_probed_with(engine, &trace, sys, &opts, &mut probe)
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} failed: {e}"));
-                let (attr, recorder) = probe;
-                let breakdown = attr.into_breakdown();
-                breakdown
-                    .check()
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} attribution broke: {e}"));
-                runs.push((
-                    report.to_json().render(),
-                    breakdown.to_json().render(),
-                    TraceRecorder::chrome_trace([recorder]).render(),
-                ));
-            }
-            let (legacy, probed) = (runs.pop().unwrap(), runs.pop().unwrap());
-            assert_eq!(derived, legacy.0, "{label}: session vs legacy oracle");
-            assert_eq!(probed.0, legacy.0, "{label}: report JSON differs");
-            assert_eq!(probed.1, legacy.1, "{label}: stall attribution differs");
-            assert_eq!(probed.2, legacy.2, "{label}: chrome trace differs");
+            let agreed = assert_engines_agree(&label, &trace, sys);
+            assert_eq!(
+                derived,
+                agreed.to_json().render(),
+                "{label}: session vs oracle"
+            );
             exercised += 1;
         }
     }
@@ -184,10 +266,10 @@ fn cross_parameter_sweeps_derive_cold_runs_on_spad_stream_traces() {
 #[test]
 fn planner_reports_match_cold_runs_at_any_job_count() {
     // The trace-grouped planner over the canonical mixed sweep: every
-    // feasible unit's report must match a cold event run and the legacy
-    // oracle byte for byte, infeasible units must stay `None` exactly
-    // where the cold path finds them infeasible, and re-running with
-    // any worker count must reproduce the serial bytes.
+    // feasible unit's report must match a cold event run and the oracle
+    // byte for byte, infeasible units must stay `None` exactly where
+    // the cold path finds them infeasible, and re-running with any
+    // worker count must reproduce the serial bytes.
     let opts = SimOptions::default();
     for name in NAMES {
         let mut p = Prepared::new(by_name(name, Scale::Tiny));
@@ -217,13 +299,12 @@ fn planner_reports_match_cold_runs_at_any_job_count() {
                     let trace = p
                         .try_trace_shared(config)
                         .expect("feasible unit has a trace");
-                    let legacy =
-                        try_simulate_probed_with(Engine::Legacy, &trace, sys, &opts, &mut NoProbe)
-                            .expect("legacy run");
+                    let oracle = oracle::simulate_probed(&trace, sys, &opts, &mut NoProbe)
+                        .expect("oracle run");
                     assert_eq!(
                         derived,
-                        legacy.to_json().render(),
-                        "{label}: planner vs legacy oracle"
+                        oracle.to_json().render(),
+                        "{label}: planner vs oracle"
                     );
                 }
                 (None, None) => {}
@@ -257,8 +338,8 @@ fn sweep_session_derives_cold_run_reports() {
     // The incremental-resim path (what the harness memo routes sweeps
     // through) must be invisible: every report it derives from the
     // recorded outcome stream must match both a cold event run and the
-    // legacy oracle, in an order chosen to force replay hits, late
-    // divergences and full re-records.
+    // oracle, in an order chosen to force replay hits, late divergences
+    // and full re-records.
     let sizes: [usize; 6] = [64 * 1024, 32 * 1024, 16 * 1024, 4 * 1024, 1024, 8 * 1024];
     let opts = SimOptions::default();
     for name in NAMES {
@@ -271,13 +352,12 @@ fn sweep_session_derives_cold_run_reports() {
             let sys = SystemConfig::with_cache_bytes(bytes);
             let derived = session.simulate(&sys).to_json().render();
             let event = simulate_prepared(&prep, &sys, &opts).to_json().render();
-            let legacy =
-                try_simulate_probed_with(Engine::Legacy, &trace, &sys, &opts, &mut NoProbe)
-                    .expect("legacy run")
-                    .to_json()
-                    .render();
+            let oracle = oracle::simulate_probed(&trace, &sys, &opts, &mut NoProbe)
+                .expect("oracle run")
+                .to_json()
+                .render();
             assert_eq!(derived, event, "{name}@{bytes}: session vs cold event run");
-            assert_eq!(derived, legacy, "{name}@{bytes}: session vs legacy oracle");
+            assert_eq!(derived, oracle, "{name}@{bytes}: session vs oracle");
         }
     }
 }

@@ -1,40 +1,61 @@
-//! The previous scalar per-cycle scheduler, kept verbatim for one
-//! release behind the `--engine legacy` escape hatch.
+//! The reference oracle: the scalar per-cycle scheduler the
+//! event-driven core in `tapeflow_sim::engine` replaced, kept verbatim.
 //!
-//! The event-driven core in [`crate::engine`] replaced this loop; the
-//! cross-engine equivalence suite (and the `--engine legacy` CLI flag)
-//! runs both and asserts byte-identical reports, stall attributions and
-//! timelines. Remove this module once a release has shipped on the new
-//! core.
+//! It crawls every cycle, rebuilds its dependence bookkeeping from the
+//! trace on every run and serves every queue through explicit
+//! per-cycle issue, so it shares none of the event core's gap-skipping,
+//! analytic issue servers or pure event loop. The equivalence suite
+//! asserts that both produce byte-identical reports, stall attributions,
+//! Chrome traces and per-instruction ledgers. It uses only the public
+//! `tapeflow_sim` API, plus a private copy of the DRAM server below.
 
-use crate::cache::Cache;
-use crate::config::{EnergyTable, SystemConfig};
-use crate::engine::{Dram, SimOptions};
-use crate::error::SimError;
-use crate::prep::PreparedSim;
-use crate::probe::{CacheAccessEvent, NoProbe, ProbeGeometry, SimProbe};
-use crate::report::{EnergyReport, SimReport};
 use std::collections::{BinaryHeap, VecDeque};
 use tapeflow_ir::trace::Phase;
 use tapeflow_ir::{NodeId, Op, OpClass, Trace};
+use tapeflow_sim::probe::CacheAccessEvent;
+use tapeflow_sim::{
+    Cache, EnergyReport, EnergyTable, PreparedSim, ProbeGeometry, SimError, SimOptions, SimProbe,
+    SimReport, SystemConfig,
+};
+
+/// The shared DRAM bandwidth/latency server, as the event core models
+/// it: cache fills, write-backs and stream transfers queue on one
+/// bandwidth reservation.
+struct Dram {
+    busy: f64,
+    bytes_per_cycle: f64,
+    latency: u64,
+}
+
+impl Dram {
+    fn new(cfg: &SystemConfig) -> Self {
+        Dram {
+            busy: 0.0,
+            bytes_per_cycle: cfg.dram.bytes_per_cycle,
+            latency: cfg.dram.latency,
+        }
+    }
+
+    /// Reserves bandwidth for `bytes` starting no earlier than `now`;
+    /// returns `(bandwidth_done, completion)` — pipelined consumers (the
+    /// stream engines) free up at `bandwidth_done` while the data itself
+    /// lands at `completion`.
+    fn transfer(&mut self, now: u64, bytes: u64) -> (u64, u64) {
+        let start = self.busy.max(now as f64);
+        self.busy = start + bytes as f64 / self.bytes_per_cycle;
+        let bw_done = self.busy.ceil() as u64;
+        (bw_done, bw_done + self.latency)
+    }
+}
 
 /// How many queued accesses a banked resource may inspect per cycle.
 const SPAD_SCAN_WINDOW: usize = 64;
 
-/// Simulates `trace` on `cfg` with the legacy scalar loop.
-pub fn try_simulate(
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> Result<SimReport, SimError> {
-    try_simulate_probed(trace, cfg, opts, &mut NoProbe)
-}
-
-/// Probed variant of [`try_simulate`]. The loop body below is the
-/// pre-rework scheduler, unchanged; only the up-front index-width guard
-/// (which the old code lacked — node ids silently truncated to `u32`)
-/// was added.
-pub fn try_simulate_probed<P: SimProbe>(
+/// Simulates `trace` on `cfg` with the scalar per-cycle loop. The loop
+/// body is the pre-event-core scheduler, unchanged; only the up-front
+/// index-width guard (which the old code lacked — node ids silently
+/// truncated to `u32`) was added.
+pub fn simulate_probed<P: SimProbe>(
     trace: &Trace,
     cfg: &SystemConfig,
     opts: &SimOptions,
@@ -362,28 +383,4 @@ pub fn try_simulate_probed<P: SimProbe>(
         report.node_finish = Some(finish);
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tapeflow_ir::trace::{trace_function, TraceOptions};
-    use tapeflow_ir::{FunctionBuilder, Memory};
-
-    #[test]
-    fn legacy_loop_still_runs() {
-        let cfg = SystemConfig::default();
-        let mut b = FunctionBuilder::new("t");
-        let one = b.f64(1.0);
-        let mut v = b.f64(0.0);
-        for _ in 0..10 {
-            v = b.fadd(v, one);
-        }
-        let f = b.finish();
-        let mut mem = Memory::for_function(&f);
-        let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let r = try_simulate(&trace, &cfg, &SimOptions::default()).unwrap();
-        assert_eq!(r.fp_ops, 10);
-        assert_eq!(r.cycles, 10 * cfg.pe.fp_alu_latency);
-    }
 }

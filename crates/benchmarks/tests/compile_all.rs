@@ -62,7 +62,7 @@ fn all_benchmarks_simulate_both_configs() {
             },
         )
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let ez = simulate(&t, &cfg, &SimOptions::default());
+        let ez = simulate(&t, &cfg, &SimOptions::default()).unwrap();
         assert!(ez.cycles > 0, "{}", b.name);
         assert!(
             ez.cache.tape_hits + ez.cache.tape_misses > 0,
@@ -84,7 +84,7 @@ fn all_benchmarks_simulate_both_configs() {
             },
         )
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let tf = simulate(&t2, &cfg, &SimOptions::default());
+        let tf = simulate(&t2, &cfg, &SimOptions::default()).unwrap();
         assert!(tf.cycles > 0, "{}", b.name);
         // Only unmanaged top-level scalars may remain on the cache path
         // (one store + one load each).

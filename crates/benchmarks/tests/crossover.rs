@@ -31,7 +31,7 @@ fn dram_per_access(rows: usize, cols: usize) -> (f64, f64) {
             },
         )
         .unwrap();
-        let r = simulate(&t, &cfg, &SimOptions::default());
+        let r = simulate(&t, &cfg, &SimOptions::default()).unwrap();
         let flush_bytes = r.cache.flush_writebacks * cfg.cache.line_bytes as u64;
         (r.dram_bytes() - flush_bytes) as f64 / (r.cache.accesses() + r.spad_accesses).max(1) as f64
     };

@@ -14,27 +14,27 @@
 //! The scheduler runs off a [`PreparedSim`] arena — a config-independent
 //! struct-of-arrays flattening of the trace (dependence CSR, fused
 //! ready/indegree state, per-node class/address/flags) built once and
-//! reused across an entire parameter sweep. The hot loop never touches
-//! the trace's per-node heap-allocated `deps` vectors, keeps a single
-//! reusable conflict scratch buffer instead of a per-cycle allocation,
-//! and **gap-skips**: whenever nothing can issue before the next
-//! engine-free or node-ready boundary, time jumps straight there instead
-//! of crawling cycle by cycle.
+//! reused across an entire parameter sweep. The hot loop reads only that
+//! arena, keeps a single reusable conflict scratch buffer instead of a
+//! per-cycle allocation, and **gap-skips**: whenever nothing can issue
+//! before the next engine-free or node-ready boundary, time jumps
+//! straight there instead of crawling cycle by cycle.
 //!
 //! On top of that, unprobed runs (statically known via
 //! [`SimProbe::IS_NOOP`]) serve the in-order FP and integer issue queues
 //! *analytically*: the event heap pops ready nodes in exactly the order
 //! they would have entered those queues, and a width-limited in-order
-//! queue has a two-word closed form ([`IssueSrv`]) that assigns each op
+//! queue has a two-word closed form (`IssueSrv`) that assigns each op
 //! its exact issue cycle — contention included — without queue
 //! round-trips or per-cycle crawling. Traces that never touch the
 //! scratchpad or stream engines (every non-streaming variant) drop the
-//! cycle loop entirely and run as a pure event loop ([`run_dataflow`])
+//! cycle loop entirely and run as a pure event loop (`dataflow_loop`)
 //! in which the memory queue is served by the same closed form plus the
 //! MSHR stall rule. All of this is schedule-preserving, not
 //! approximate: reports, stall attributions and timelines stay
-//! byte-identical to the scalar loop (kept in [`crate::legacy`] behind
-//! `--engine legacy` and pinned by the cross-engine equivalence suite).
+//! byte-identical to the scalar per-cycle loop this core replaced. That
+//! loop no longer ships; it lives on as the reference oracle of the
+//! cross-engine equivalence suite (`crates/bench/tests/equivalence`).
 //! Probes are not announced skipped cycles individually;
 //! [`crate::probe::AttributionProbe`] attributes them run-length-wise
 //! from in-flight state, preserving `sum(attributed) == cycles * PEs`.
@@ -56,50 +56,19 @@ pub struct SimOptions {
     pub record_node_times: bool,
 }
 
-/// Which scheduler core to run. The event-driven core is the default;
-/// the scalar loop it replaced remains available for one release as an
-/// escape hatch (`--engine legacy`) and as the equivalence oracle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The event-driven, gap-skipping core (this module).
-    #[default]
-    Event,
-    /// The previous scalar per-cycle loop ([`crate::legacy`]).
-    Legacy,
-}
-
-impl Engine {
-    /// Parses a CLI engine name.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "event" => Some(Engine::Event),
-            "legacy" => Some(Engine::Legacy),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Event => "event",
-            Engine::Legacy => "legacy",
-        }
-    }
-}
-
 /// How many queued accesses a banked resource may inspect per cycle
 /// (a bounded scheduling window keeps contended simulations linear).
 const SPAD_SCAN_WINDOW: usize = 64;
 
 #[derive(Clone)]
-pub(crate) struct Dram {
+struct Dram {
     busy: f64,
     bytes_per_cycle: f64,
     latency: u64,
 }
 
 impl Dram {
-    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+    fn new(cfg: &SystemConfig) -> Self {
         Dram {
             busy: 0.0,
             bytes_per_cycle: cfg.dram.bytes_per_cycle,
@@ -111,7 +80,7 @@ impl Dram {
     /// returns `(bandwidth_done, completion)` — pipelined consumers (the
     /// stream engines) free up at `bandwidth_done` while the data itself
     /// lands at `completion`.
-    pub(crate) fn transfer(&mut self, now: u64, bytes: u64) -> (u64, u64) {
+    fn transfer(&mut self, now: u64, bytes: u64) -> (u64, u64) {
         let start = self.busy.max(now as f64);
         self.busy = start + bytes as f64 / self.bytes_per_cycle;
         let bw_done = self.busy.ceil() as u64;
@@ -119,12 +88,13 @@ impl Dram {
     }
 }
 
-/// Simulates `trace` on `cfg`.
-///
-/// # Panics
-/// Panics if the trace exceeds the scheduler's 32-bit index limits; use
-/// [`try_simulate`] to handle that case as a [`SimError`].
-pub fn simulate(trace: &Trace, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
+/// Simulates `trace` on `cfg`. Fails with [`SimError`] when the trace
+/// exceeds the scheduler's 32-bit index limits.
+pub fn simulate(
+    trace: &Trace,
+    cfg: &SystemConfig,
+    opts: &SimOptions,
+) -> Result<SimReport, SimError> {
     simulate_probed(trace, cfg, opts, &mut NoProbe)
 }
 
@@ -132,31 +102,7 @@ pub fn simulate(trace: &Trace, cfg: &SystemConfig, opts: &SimOptions) -> SimRepo
 /// completion to `probe` (see [`crate::probe`]). With [`NoProbe`] this
 /// monomorphizes to the unprobed hot loop, which is what [`simulate`]
 /// calls — observability costs nothing unless a probe asks for it.
-///
-/// # Panics
-/// Panics if the trace exceeds the scheduler's 32-bit index limits; use
-/// [`try_simulate_probed`] to handle that case as a [`SimError`].
 pub fn simulate_probed<P: SimProbe>(
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-    probe: &mut P,
-) -> SimReport {
-    try_simulate_probed(trace, cfg, opts, probe).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`simulate`]: rejects over-large traces instead of
-/// panicking (the old scheduler silently truncated node ids to `u32`).
-pub fn try_simulate(
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> Result<SimReport, SimError> {
-    try_simulate_probed(trace, cfg, opts, &mut NoProbe)
-}
-
-/// Fallible [`simulate_probed`].
-pub fn try_simulate_probed<P: SimProbe>(
     trace: &Trace,
     cfg: &SystemConfig,
     opts: &SimOptions,
@@ -164,21 +110,6 @@ pub fn try_simulate_probed<P: SimProbe>(
 ) -> Result<SimReport, SimError> {
     let prep = PreparedSim::new(trace)?;
     Ok(simulate_prepared_probed(&prep, cfg, opts, probe))
-}
-
-/// Fallible simulation on the engine selected by `engine` — the CLI's
-/// dispatch point for the `--engine` flag.
-pub fn try_simulate_probed_with<P: SimProbe>(
-    engine: Engine,
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-    probe: &mut P,
-) -> Result<SimReport, SimError> {
-    match engine {
-        Engine::Event => try_simulate_probed(trace, cfg, opts, probe),
-        Engine::Legacy => crate::legacy::try_simulate_probed(trace, cfg, opts, probe),
-    }
 }
 
 /// Simulates a [`PreparedSim`] arena on `cfg` — the sweep entry point:
@@ -198,7 +129,7 @@ pub fn simulate_prepared_probed<P: SimProbe>(
     // ([`SimProbe::IS_NOOP`]) and the trace/config pair admits the
     // analytic service disciplines, the per-cycle loop drops away
     // entirely ([`dataflow_loop`]). Probed runs keep the per-cycle core
-    // so every hook fires in the legacy order.
+    // so every hook fires in per-cycle order.
     if P::IS_NOOP && dataflow_ok(prep, cfg) {
         let mut st = DfState::new(prep, cfg);
         let mut cache = Cache::new(cfg.cache);
@@ -1546,7 +1477,7 @@ mod tests {
     }
 
     fn sim_of(build: impl FnOnce(&mut FunctionBuilder), cfg: &SystemConfig) -> SimReport {
-        simulate(&trace_of(build), cfg, &SimOptions::default())
+        simulate(&trace_of(build), cfg, &SimOptions::default()).unwrap()
     }
 
     #[test]
@@ -1699,7 +1630,7 @@ mod tests {
             },
         )
         .unwrap();
-        let r = simulate(&trace, &SystemConfig::default(), &SimOptions::default());
+        let r = simulate(&trace, &SystemConfig::default(), &SimOptions::default()).unwrap();
         assert!(r.fwd_cycles > 0);
         assert!(r.fwd_cycles < r.cycles);
         assert_eq!(r.rev_cycles(), r.cycles - r.fwd_cycles);
@@ -1749,21 +1680,11 @@ mod tests {
             &SimOptions {
                 record_node_times: true,
             },
-        );
+        )
+        .unwrap();
         let times = r.node_finish.unwrap();
         assert_eq!(times.len(), trace.len());
         assert!(times.iter().all(|&t| t > 0));
-    }
-
-    #[test]
-    fn engine_names_parse_and_round_trip() {
-        assert_eq!(Engine::parse("event"), Some(Engine::Event));
-        assert_eq!(Engine::parse("legacy"), Some(Engine::Legacy));
-        assert_eq!(Engine::parse("warp"), None);
-        assert_eq!(Engine::default(), Engine::Event);
-        for e in [Engine::Event, Engine::Legacy] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-        }
     }
 
     #[test]
@@ -1780,39 +1701,11 @@ mod tests {
         for bytes in [1024, 2048, 32768] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let from_arena = simulate_prepared(&prep, &cfg, &SimOptions::default());
-            let fresh = simulate(&trace, &cfg, &SimOptions::default());
+            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
             assert_eq!(from_arena.cycles, fresh.cycles);
             assert_eq!(from_arena.cache, fresh.cache);
             assert_eq!(from_arena.to_json().render(), fresh.to_json().render());
         }
-    }
-
-    #[test]
-    fn stream_gap_skip_matches_legacy_cycle_for_cycle() {
-        // A stream-heavy trace: big transfers leave long engine-busy gaps
-        // that the event core skips and the legacy loop crawls. Reports
-        // must agree exactly.
-        let cfg = SystemConfig::default();
-        let trace = trace_of(|b| {
-            use tapeflow_ir::Op;
-            let tape = b.array("tape", 128, ArrayKind::Tape, Scalar::F64);
-            let base = b
-                .push_inst(Op::SAlloc { size: 128, base: 0 }, vec![])
-                .unwrap();
-            let zero = b.i64(0);
-            let elems = b.i64(128);
-            for _ in 0..4 {
-                b.push_inst(Op::StreamOut(tape), vec![base, zero, elems]);
-                b.push_inst(Op::StreamIn(tape), vec![base, zero, elems]);
-            }
-        });
-        let new = simulate(&trace, &cfg, &SimOptions::default());
-        let old = crate::legacy::try_simulate(&trace, &cfg, &SimOptions::default()).unwrap();
-        assert_eq!(new.cycles, old.cycles);
-        assert_eq!(new.stream_cmds, old.stream_cmds);
-        assert_eq!(new.dram_stream_bytes, old.dram_stream_bytes);
-        assert_eq!(new.to_json().render(), old.to_json().render());
-        assert!(new.stream_cmds == 8, "all streams executed: {new:?}");
     }
 
     #[test]
@@ -1855,9 +1748,10 @@ mod tests {
             let trace = trace_of(&*build);
             for bytes in [1024, 32768] {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
-                let fast = simulate(&trace, &cfg, &SimOptions::default());
+                let fast = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
                 let mut probe = AttributionProbe::default();
-                let exact = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
+                let exact =
+                    simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
                 assert_eq!(
                     fast.to_json().render(),
                     exact.to_json().render(),

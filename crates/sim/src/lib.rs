@@ -41,7 +41,8 @@
 //! let f = b.finish();
 //! let mut mem = Memory::for_function(&f);
 //! let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-//! let report = simulate(&trace, &SystemConfig::with_cache_bytes(1024), &SimOptions::default());
+//! let cfg = SystemConfig::with_cache_bytes(1024);
+//! let report = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
 //! assert!(report.cycles > 0);
 //! assert_eq!(report.cache.accesses(), 192); // 128 loads + 64 stores
 //! ```
@@ -54,7 +55,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod json;
-pub mod legacy;
 pub mod prep;
 pub mod probe;
 pub mod report;
@@ -65,8 +65,7 @@ pub use config::{
     CacheConfig, ClassPrints, DramConfig, EnergyTable, PeConfig, SpadConfig, SystemConfig,
 };
 pub use engine::{
-    simulate, simulate_prepared, simulate_prepared_probed, simulate_probed, try_simulate,
-    try_simulate_probed, try_simulate_probed_with, Engine, SimOptions,
+    simulate, simulate_prepared, simulate_prepared_probed, simulate_probed, SimOptions,
 };
 pub use error::SimError;
 pub use prep::PreparedSim;

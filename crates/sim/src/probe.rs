@@ -1255,7 +1255,7 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let mut probe = AttributionProbe::new();
-        let r = simulate_probed(&trace, cfg, &SimOptions::default(), &mut probe);
+        let r = simulate_probed(&trace, cfg, &SimOptions::default(), &mut probe).unwrap();
         (r, probe.into_breakdown())
     }
 
@@ -1356,9 +1356,9 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let plain = simulate(&trace, &cfg, &SimOptions::default());
+        let plain = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
         let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, "t"));
-        let probed = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
+        let probed = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
         assert_eq!(plain.cycles, probed.cycles);
         assert_eq!(plain.cache, probed.cache);
         assert_eq!(plain.fp_ops, probed.fp_ops);
@@ -1385,7 +1385,7 @@ mod tests {
             .map(|n| n.inst.index() as u32)
             .collect();
         let mut probe = AttributionProbe::with_inst_map(map, f.insts().len());
-        let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
+        let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
         let (bd, pi) = probe.into_parts();
         let pi = pi.expect("per-inst mode on");
         bd.check().unwrap();
@@ -1405,7 +1405,7 @@ mod tests {
         assert!(loads > 0, "miss stalls must land on the load inst: {pi:?}");
         // Per-cause totals are byte-identical to a plain probe's.
         let mut plain = AttributionProbe::new();
-        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut plain);
+        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut plain).unwrap();
         assert_eq!(plain.into_breakdown(), bd);
     }
 
@@ -1507,7 +1507,7 @@ mod tests {
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let run = |window, stride| {
             let mut p = SamplingProbe::new(1, "s", window, stride);
-            simulate_probed(&trace, &cfg, &SimOptions::default(), &mut p);
+            simulate_probed(&trace, &cfg, &SimOptions::default(), &mut p).unwrap();
             let frac = p.recorded_fraction();
             (SamplingProbe::chrome_trace([p]).render(), frac)
         };
@@ -1552,7 +1552,7 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let mut rec = TraceRecorder::new(7, "unit");
-        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut rec);
+        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut rec).unwrap();
         let doc = TraceRecorder::chrome_trace([rec]);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty());

@@ -576,7 +576,7 @@ mod tests {
             for &bytes in ladder {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
                 let inc = sess.simulate(&cfg);
-                let fresh = simulate(&trace, &cfg, &SimOptions::default());
+                let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
                 assert_eq!(
                     inc.to_json().render(),
                     fresh.to_json().render(),
@@ -600,7 +600,7 @@ mod tests {
         let first = sess.simulate(&big);
         let second = sess.simulate(&bigger);
         assert_eq!(first.cycles, second.cycles, "fits-in-cache: same schedule");
-        let fresh = simulate(&trace, &bigger, &SimOptions::default());
+        let fresh = simulate(&trace, &bigger, &SimOptions::default()).unwrap();
         assert_eq!(second.to_json().render(), fresh.to_json().render());
     }
 
@@ -615,7 +615,7 @@ mod tests {
         b.cache.hit_latency = 5;
         let _ = sess.simulate(&a);
         let rb = sess.simulate(&b);
-        let fresh = simulate(&trace, &b, &SimOptions::default());
+        let fresh = simulate(&trace, &b, &SimOptions::default()).unwrap();
         assert_eq!(rb.to_json().render(), fresh.to_json().render());
     }
 
@@ -630,7 +630,7 @@ mod tests {
         for bytes in [1 << 20, 2 << 20, 1024] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &opts);
+            let fresh = simulate(&trace, &cfg, &opts).unwrap();
             assert_eq!(inc.node_finish, fresh.node_finish, "cache={bytes}");
         }
     }
@@ -650,7 +650,7 @@ mod tests {
             for &bytes in ladder {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
                 let inc = sess.simulate(&cfg);
-                let fresh = simulate(&trace, &cfg, &SimOptions::default());
+                let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
                 assert_eq!(
                     inc.to_json().render(),
                     fresh.to_json().render(),
@@ -686,7 +686,7 @@ mod tests {
             let mut cfg = SystemConfig::default();
             cfg.spad.banks = banks;
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &SimOptions::default());
+            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
             assert_eq!(
                 inc.to_json().render(),
                 fresh.to_json().render(),
@@ -709,7 +709,7 @@ mod tests {
         b.dram.latency = 200;
         for cfg in [&a, &b, &a] {
             let inc = sess.simulate(cfg);
-            let fresh = simulate(&trace, cfg, &SimOptions::default());
+            let fresh = simulate(&trace, cfg, &SimOptions::default()).unwrap();
             assert_eq!(inc.to_json().render(), fresh.to_json().render());
         }
     }
@@ -726,7 +726,7 @@ mod tests {
         b.energy.dram_pj_per_byte *= 2.0;
         let _ = sess.simulate(&a);
         let rb = sess.simulate(&b);
-        let fresh = simulate(&trace, &b, &SimOptions::default());
+        let fresh = simulate(&trace, &b, &SimOptions::default()).unwrap();
         assert_eq!(rb.to_json().render(), fresh.to_json().render());
     }
 
@@ -774,7 +774,7 @@ mod tests {
         for bytes in [1024usize, 32768, 131072] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &SimOptions::default());
+            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
             assert_eq!(inc.to_json().render(), fresh.to_json().render());
         }
     }
@@ -796,7 +796,7 @@ mod tests {
         let got = run_group(Arc::clone(&prep), SimOptions::default(), &cfgs);
         assert_eq!(got.len(), cfgs.len());
         for (i, cfg) in cfgs.iter().enumerate() {
-            let fresh = simulate(&trace, cfg, &SimOptions::default());
+            let fresh = simulate(&trace, cfg, &SimOptions::default()).unwrap();
             assert_eq!(
                 got[i].to_json().render(),
                 fresh.to_json().render(),

@@ -62,7 +62,7 @@ fn run(
         },
     )
     .unwrap();
-    simulate(&trace, cfg, &SimOptions::default())
+    simulate(&trace, cfg, &SimOptions::default()).unwrap()
 }
 
 #[test]

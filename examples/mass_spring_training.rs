@@ -77,8 +77,8 @@ fn main() {
     )
     .expect("traces");
     let cfg = SystemConfig::baseline_32k();
-    let tf = simulate(&tf_trace, &cfg, &SimOptions::default());
-    let ez = simulate(&ez_trace, &cfg, &SimOptions::default());
+    let tf = simulate(&tf_trace, &cfg, &SimOptions::default()).expect("simulates");
+    let ez = simulate(&ez_trace, &cfg, &SimOptions::default()).expect("simulates");
     println!(
         "one training step on the accelerator: Enzyme_32k {} cycles vs Tflow_32k {} cycles ({:.2}x)",
         ez.cycles,

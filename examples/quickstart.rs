@@ -77,8 +77,8 @@ fn main() {
 
     // 5. Simulate on the spatial accelerator with an 8 KB cache.
     let cfg = SystemConfig::with_cache_bytes(8 * 1024);
-    let ez = simulate(&enzyme_trace, &cfg, &SimOptions::default());
-    let tf = simulate(&tapeflow_trace, &cfg, &SimOptions::default());
+    let ez = simulate(&enzyme_trace, &cfg, &SimOptions::default()).expect("simulates");
+    let tf = simulate(&tapeflow_trace, &cfg, &SimOptions::default()).expect("simulates");
     println!(
         "Enzyme_8k : {} cycles, {} DRAM bytes, {:.1} nJ on-chip",
         ez.cycles,

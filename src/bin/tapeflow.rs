@@ -22,9 +22,9 @@
 //!                                                     error-severity finding or
 //!                                                     dynamic-oracle escape
 //! tapeflow passes                                 list registered passes
-//! tapeflow bench-host [--scale S] [--repeats N]   time the configuration sweep on both
-//!                    [--benchmarks a,b] [--jobs N]    simulator engines (event-driven vs
-//!                    [--stable-json] [--json PATH]    legacy scalar); writes
+//! tapeflow bench-host [--scale S] [--repeats N]   time the configuration sweep through
+//!                    [--benchmarks a,b] [--jobs N]    sweep sessions against cold
+//!                    [--stable-json] [--json PATH]    per-point runs; writes
 //!                                                     results/BENCH_host_perf.json
 //! ```
 //!
@@ -58,18 +58,18 @@
 //! unwritable `--trace-out`/`--json`/`--flame-out` is a usage error
 //! (exit 2) before the simulation runs, not a panic after it.
 //!
-//! `simulate` and `profile` default to the event-driven simulator core;
-//! `--engine legacy` selects the scalar per-cycle reference engine
-//! instead (both produce byte-identical reports — `bench-host` measures
-//! the throughput gap between them). `bench-host --benchmarks a,b`
-//! restricts the run to a registry subset (an unknown name is a usage
-//! error that lists the registry), `--jobs N` sets the worker count for
-//! the mixed sweep's trace-group fan-out (default: all logical CPUs;
-//! the reports are byte-identical at any count), and `--stable-json`
-//! zeroes the wall-clock and host-identity fields of the JSON document
-//! (schema `tapeflow.bench.host_perf/v2`, which carries a `host`
-//! section: logical CPUs, rustc version, opt-level, job count) so the
-//! bytes reproduce across machines.
+//! `bench-host` times each benchmark's cache ladder and mixed sweep
+//! twice: through the sweep sessions that reuse earlier points' work,
+//! and as cold `simulate_prepared` runs of every point on the same
+//! arena (the reports are identical; the speedup is what reuse buys).
+//! `--benchmarks a,b` restricts the run to a registry subset (an
+//! unknown name is a usage error that lists the registry), `--jobs N`
+//! sets the worker count for the mixed sweep's trace-group fan-out
+//! (default: all logical CPUs; the reports are byte-identical at any
+//! count), and `--stable-json` zeroes the wall-clock and host-identity
+//! fields of the JSON document (schema `tapeflow.bench.host_perf/v3`,
+//! which carries a `host` section: logical CPUs, rustc version,
+//! opt-level, job count) so the bytes reproduce across machines.
 //!
 //! `FILE` is textual IR in the `pretty`/`parse` format (see
 //! `tapeflow_ir::parse`). For `simulate`, `f64` inputs are filled with a
@@ -116,8 +116,8 @@ use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{interp, parse, pretty, vra, ArrayId, ArrayKind, Function, Memory, Op, Scalar};
 use tapeflow::sim::json::Value;
 use tapeflow::sim::{
-    try_simulate_probed_with, AttributionProbe, CycleBreakdown, Engine, NoProbe, SamplingProbe,
-    SimOptions, SimReport, StallKind, SystemConfig, TraceRecorder,
+    simulate, simulate_probed, AttributionProbe, CycleBreakdown, SamplingProbe, SimOptions,
+    SimReport, StallKind, SystemConfig, TraceRecorder,
 };
 
 /// Timeline slice length for `profile --sample N`: every `N`-th window
@@ -141,7 +141,6 @@ struct Args {
     time_passes: bool,
     lint_after_all: bool,
     scale: Scale,
-    engine: Engine,
     repeats: usize,
     by_inst: bool,
     top: usize,
@@ -162,7 +161,7 @@ fn usage() -> ExitCode {
          [--aos-only] [--compress-tape] [--single-buffer] \
          [--policy minimal|conservative|all] \
          [--passes a,b,c] [--print-after-all] [--time-passes] [--lint-after-all] \
-         [--scale tiny|small|large] [--engine event|legacy] [--repeats N] \
+         [--scale tiny|small|large] [--repeats N] \
          [--by-inst] [--top N] [--sample N] [--flame-out PATH] \
          [--benchmarks a,b] [--jobs N] [--stable-json] \
          [--check-dynamic] [--explain RULE] \
@@ -190,7 +189,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         time_passes: false,
         lint_after_all: false,
         scale: Scale::default(),
-        engine: Engine::default(),
         repeats: 5,
         by_inst: false,
         top: 10,
@@ -276,13 +274,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
                     Some("small") => Scale::Small,
                     Some("large") => Scale::Large,
                     other => return Err(format!("unknown scale {other:?}")),
-                };
-            }
-            "--engine" => {
-                args.engine = match argv.next().as_deref() {
-                    Some("event") => Engine::Event,
-                    Some("legacy") => Engine::Legacy,
-                    other => return Err(format!("unknown engine {other:?}")),
                 };
             }
             "--repeats" => {
@@ -822,16 +813,6 @@ fn check_writable(flag: &str, path: &str) -> Result<(), String> {
 fn run() -> Result<ExitCode, String> {
     let mut argv = std::env::args().skip(1);
     let (cmd, args) = parse_args(&mut argv)?;
-    if matches!(args.engine, Engine::Legacy) {
-        // Deprecation path: the scalar reference engine only survives to
-        // cross-validate the event core (see DESIGN.md, "Legacy engine
-        // removal plan"). Reports are byte-identical either way.
-        eprintln!(
-            "tapeflow: warning: --engine legacy is deprecated and will be \
-             removed once the event engine's equivalence suite has covered \
-             a full release cycle; see DESIGN.md for the removal plan"
-        );
-    }
     if cmd == "passes" {
         for (name, desc) in registered_passes() {
             println!("{name:<13} {desc}");
@@ -840,8 +821,8 @@ fn run() -> Result<ExitCode, String> {
     }
     if cmd == "bench-host" {
         // Host-throughput tracking: each selected benchmark's cache
-        // ladder and mixed sweep, timed on both engines (min of
-        // --repeats runs). --benchmarks narrows the registry; an
+        // ladder and mixed sweep, timed through sweep sessions and as
+        // cold per-point runs (min of --repeats runs). --benchmarks narrows the registry; an
         // unknown name is a usage error that lists what exists.
         let names: Vec<&'static str> = match &args.benchmarks {
             None => benchmarks::NAMES.to_vec(),
@@ -984,14 +965,8 @@ fn run() -> Result<ExitCode, String> {
                     },
                 )
                 .map_err(|e| e.to_string())?;
-                let r = try_simulate_probed_with(
-                    args.engine,
-                    &trace,
-                    &cfg,
-                    &SimOptions::default(),
-                    &mut NoProbe,
-                )
-                .map_err(|e| e.to_string())?;
+                let r =
+                    simulate(&trace, &cfg, &SimOptions::default()).map_err(|e| e.to_string())?;
                 println!(
                     "{label:<8} cycles {:>10}  dram bytes {:>10}  on-chip pJ {:>12.0}  rev hit {:.1}%",
                     r.cycles,
@@ -1077,14 +1052,8 @@ fn run() -> Result<ExitCode, String> {
                         SamplingProbe::new(pid as u64 + 1, label, SAMPLE_WINDOW, stride)
                     });
                 let mut probe = (attr_probe, (recorder, sampler));
-                let r = try_simulate_probed_with(
-                    args.engine,
-                    &trace,
-                    &cfg,
-                    &SimOptions::default(),
-                    &mut probe,
-                )
-                .map_err(|e| e.to_string())?;
+                let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe)
+                    .map_err(|e| e.to_string())?;
                 let (attr_probe, (recorder, sampler)) = probe;
                 let (bd, inst_bd) = attr_probe.into_parts();
                 bd.check()

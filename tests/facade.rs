@@ -35,7 +35,7 @@ fn readme_flow_works_through_the_facade() {
         },
     )
     .unwrap();
-    let report = simulate(&trace, &SystemConfig::default(), &SimOptions::default());
+    let report = simulate(&trace, &SystemConfig::default(), &SimOptions::default()).unwrap();
     assert!(report.cycles > 0);
     let d = mem.get_f64(grad.shadow_of(x).unwrap());
     assert!(d.iter().all(|&g| (g - 0.1f64.exp()).abs() < 1e-12));
@@ -55,7 +55,7 @@ fn simulation_is_deterministic() {
             },
         )
         .unwrap();
-        let r = simulate(&t, &SystemConfig::default(), &SimOptions::default());
+        let r = simulate(&t, &SystemConfig::default(), &SimOptions::default()).unwrap();
         (
             t.len(),
             t.edge_count(),
@@ -103,7 +103,7 @@ fn replacement_policy_does_not_rescue_the_baseline() {
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
         let mut cfg = SystemConfig::with_cache_bytes(8 * 1024);
         cfg.cache.policy = policy;
-        let r = simulate(&t, &cfg, &SimOptions::default());
+        let r = simulate(&t, &cfg, &SimOptions::default()).unwrap();
         assert!(r.cache.tape_misses > 0, "{policy:?}");
         results.push(r.cycles as f64);
     }

@@ -111,9 +111,9 @@ fn check_variant(label: &str, setup: &Setup, variant_is_tapeflow: bool, sys: &Sy
         },
     )
     .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let plain = simulate(&trace, sys, &SimOptions::default());
+    let plain = simulate(&trace, sys, &SimOptions::default()).unwrap();
     let mut probe = AttributionProbe::new();
-    let probed = simulate_probed(&trace, sys, &SimOptions::default(), &mut probe);
+    let probed = simulate_probed(&trace, sys, &SimOptions::default(), &mut probe).unwrap();
 
     // The probe must be invisible: identical report, counter by counter.
     assert_eq!(plain.cycles, probed.cycles, "{label}: cycles");

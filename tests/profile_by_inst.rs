@@ -1,10 +1,10 @@
 //! Per-instruction attribution across the whole benchmark registry: on
 //! every one of the nine registered benchmarks (Tiny scale), the
 //! per-inst cycle breakdown must partition the per-cause totals exactly
-//! (`InstBreakdown::check_against`), on both simulator engines, and the
-//! event-driven core must charge every instruction identically to the
-//! legacy scalar loop it replaced — the per-inst ledger is part of the
-//! engines' equivalence contract, not just the aggregate counters.
+//! (`InstBreakdown::check_against`) and resolve back to the full cycle
+//! budget. That the event core charges every instruction identically to
+//! the scalar reference loop is checked by the cross-engine equivalence
+//! suite (`crates/bench/tests/equivalence.rs`).
 
 use tapeflow::bench::attr;
 use tapeflow::benchmarks::{by_name, Scale, NAMES};
@@ -12,21 +12,14 @@ use tapeflow::core::pipeline::PipelineBuilder;
 use tapeflow::core::CompileOptions;
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, Function, Memory};
-use tapeflow::sim::{
-    try_simulate_probed_with, AttributionProbe, Engine, InstBreakdown, SimOptions, SystemConfig,
-};
+use tapeflow::sim::{simulate_probed, AttributionProbe, InstBreakdown, SimOptions, SystemConfig};
 
-/// Runs `func`'s trace under the per-inst probe on `engine` and checks
-/// the partition invariants; returns the raw per-inst ledger.
-fn probed_rows(
-    label: &str,
-    func: &Function,
-    trace: &tapeflow::ir::trace::Trace,
-    engine: Engine,
-) -> InstBreakdown {
+/// Runs `func`'s trace under the per-inst probe and checks the
+/// partition invariants; returns the raw per-inst ledger.
+fn probed_rows(label: &str, func: &Function, trace: &tapeflow::ir::trace::Trace) -> InstBreakdown {
     let sys = SystemConfig::default();
     let mut probe = AttributionProbe::with_inst_map(attr::node_to_inst(trace), func.insts().len());
-    try_simulate_probed_with(engine, trace, &sys, &SimOptions::default(), &mut probe)
+    simulate_probed(trace, &sys, &SimOptions::default(), &mut probe)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let (bd, inst_bd) = probe.into_parts();
     let inst_bd = inst_bd.expect("per-inst mode was requested");
@@ -81,27 +74,12 @@ fn traced(
 }
 
 #[test]
-fn registry_per_inst_sums_match_per_cause_totals_on_both_engines() {
+fn registry_per_inst_sums_match_per_cause_totals() {
     for name in NAMES {
         let bench = by_name(name, Scale::Tiny);
         let grad = bench.gradient();
         let trace = traced(&bench, &grad, &grad.func, grad.phase_barrier);
-        let event = probed_rows(
-            &format!("{name} gradient event"),
-            &grad.func,
-            &trace,
-            Engine::Event,
-        );
-        let legacy = probed_rows(
-            &format!("{name} gradient legacy"),
-            &grad.func,
-            &trace,
-            Engine::Legacy,
-        );
-        assert_eq!(
-            event.rows, legacy.rows,
-            "{name}: engines disagree on per-inst attribution"
-        );
+        probed_rows(&format!("{name} gradient"), &grad.func, &trace);
     }
 }
 
@@ -124,12 +102,7 @@ fn registry_per_inst_invariants_hold_for_compiled_programs() {
         };
         compiled_count += 1;
         let trace = traced(&bench, &grad, &compiled.func, compiled.phase_barrier);
-        let inst_bd = probed_rows(
-            &format!("{name} tapeflow"),
-            &compiled.func,
-            &trace,
-            Engine::Event,
-        );
+        let inst_bd = probed_rows(&format!("{name} tapeflow"), &compiled.func, &trace);
         // Compiled programs carry provenance from the pass pipeline:
         // the hot rows must resolve to source ops, not all fall into
         // the unattributed bucket.

@@ -334,6 +334,29 @@ fn unwritable_output_path_is_a_structured_usage_error() {
     }
 }
 
+/// The simulator has one engine, so `--engine` is not a flag: it is an
+/// unknown argument (exit 2) and nothing is simulated.
+#[test]
+fn removed_engine_flag_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tapeflow"))
+        .args([
+            "simulate", "logsum", "--scale", "tiny", "--engine", "legacy",
+        ])
+        .output()
+        .expect("run tapeflow simulate");
+    assert_eq!(out.status.code(), Some(2), "expected usage-error exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#"unknown argument "--engine""#),
+        "unhelpful error: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "simulated despite the error: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
 fn validates_trace_file_from_env() {
     let Some(path) = std::env::var_os("TAPEFLOW_TRACE_VALIDATE") else {
