@@ -7,7 +7,9 @@
 //! analytic issue servers or pure event loop. The equivalence suite
 //! asserts that both produce byte-identical reports, stall attributions,
 //! Chrome traces and per-instruction ledgers. It uses only the public
-//! `tapeflow_sim` API, plus a private copy of the DRAM server below.
+//! `tapeflow_sim` API, plus a private copy of the DRAM server below, so
+//! `tapeflow-sim`'s unit tests compile this same file as their
+//! `legacy` module.
 
 use std::collections::{BinaryHeap, VecDeque};
 use tapeflow_ir::trace::Phase;
@@ -383,4 +385,29 @@ pub fn simulate_probed<P: SimProbe>(
         report.node_finish = Some(finish);
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tapeflow_ir::trace::{trace_function, TraceOptions};
+    use tapeflow_ir::{FunctionBuilder, Memory};
+    use tapeflow_sim::NoProbe;
+
+    #[test]
+    fn legacy_loop_still_runs() {
+        let cfg = SystemConfig::default();
+        let mut b = FunctionBuilder::new("t");
+        let one = b.f64(1.0);
+        let mut v = b.f64(0.0);
+        for _ in 0..10 {
+            v = b.fadd(v, one);
+        }
+        let f = b.finish();
+        let mut mem = Memory::for_function(&f);
+        let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
+        let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut NoProbe).unwrap();
+        assert_eq!(r.fp_ops, 10);
+        assert_eq!(r.cycles, 10 * cfg.pe.fp_alu_latency);
+    }
 }

@@ -34,7 +34,8 @@
 //! approximate: reports, stall attributions and timelines stay
 //! byte-identical to the scalar per-cycle loop this core replaced. That
 //! loop no longer ships; it lives on as the reference oracle of the
-//! cross-engine equivalence suite (`crates/bench/tests/equivalence`).
+//! cross-engine equivalence suite (`crates/bench/tests/equivalence`),
+//! which this crate's unit tests also compile as `crate::legacy`.
 //! Probes are not announced skipped cycles individually;
 //! [`crate::probe::AttributionProbe`] attributes them run-length-wise
 //! from in-flight state, preserving `sum(attributed) == cycles * PEs`.
@@ -1706,6 +1707,35 @@ mod tests {
             assert_eq!(from_arena.cache, fresh.cache);
             assert_eq!(from_arena.to_json().render(), fresh.to_json().render());
         }
+    }
+
+    #[test]
+    fn stream_gap_skip_matches_legacy_cycle_for_cycle() {
+        // A stream-heavy trace: big transfers leave long engine-busy gaps
+        // that the event core skips and the legacy loop crawls. Reports
+        // must agree exactly.
+        let cfg = SystemConfig::default();
+        let trace = trace_of(|b| {
+            use tapeflow_ir::Op;
+            let tape = b.array("tape", 128, ArrayKind::Tape, Scalar::F64);
+            let base = b
+                .push_inst(Op::SAlloc { size: 128, base: 0 }, vec![])
+                .unwrap();
+            let zero = b.i64(0);
+            let elems = b.i64(128);
+            for _ in 0..4 {
+                b.push_inst(Op::StreamOut(tape), vec![base, zero, elems]);
+                b.push_inst(Op::StreamIn(tape), vec![base, zero, elems]);
+            }
+        });
+        let opts = SimOptions::default();
+        let new = simulate(&trace, &cfg, &opts).unwrap();
+        let old = crate::legacy::simulate_probed(&trace, &cfg, &opts, &mut NoProbe).unwrap();
+        assert_eq!(new.cycles, old.cycles);
+        assert_eq!(new.stream_cmds, old.stream_cmds);
+        assert_eq!(new.dram_stream_bytes, old.dram_stream_bytes);
+        assert_eq!(new.to_json().render(), old.to_json().render());
+        assert!(new.stream_cmds == 8, "all streams executed: {new:?}");
     }
 
     #[test]

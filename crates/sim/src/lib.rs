@@ -60,6 +60,16 @@ pub mod probe;
 pub mod report;
 pub mod sweep;
 
+/// The scalar per-cycle loop the event core replaced, compiled into this
+/// crate's unit tests only, from the one copy the equivalence suite
+/// keeps as its oracle, so engine tests can check it cycle for cycle.
+#[cfg(test)]
+#[path = "../../bench/tests/equivalence/oracle.rs"]
+mod legacy;
+// Lets the oracle name this crate by its public path from inside it.
+#[cfg(test)]
+extern crate self as tapeflow_sim;
+
 pub use cache::{Cache, ReplacementPolicy};
 pub use config::{
     CacheConfig, ClassPrints, DramConfig, EnergyTable, PeConfig, SpadConfig, SystemConfig,
