@@ -9,6 +9,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, -D warnings) =="
+# Broken or private intra-doc links fail the build here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1 verify (the whole workspace: see default-members) =="
 cargo build --release
 cargo test -q

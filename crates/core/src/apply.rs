@@ -5,7 +5,7 @@
 //!
 //! * replaces every per-value tape array with its merged array-of-structs
 //!   region (Pass 1's layout change — also the whole story in
-//!   [`CompileMode::AosOnly`], via [`Lowering::Aos`]);
+//!   [`crate::CompileMode::AosOnly`], via `Lowering::Aos`);
 //! * restructures each region loop according to the Pass 2 plan — tiling
 //!   it into layer-sized chunks or cutting its body into segments — and
 //!   terminates every layer with a barrier (Pass 2's schedule);

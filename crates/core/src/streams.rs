@@ -2,7 +2,7 @@
 //! IR.
 //!
 //! The pass runs the shared rewriter (see [`crate::apply`]) at
-//! [`Lowering::Tape`] depth: region loops are restructured into layers,
+//! `Lowering::Tape` depth: region loops are restructured into layers,
 //! `FWD-Stream`/`REV-Stream` commands and barriers are inserted, and
 //! every tape access becomes an explicit [`tapeflow_ir::Op::TapeStore`]
 //! or [`tapeflow_ir::Op::TapeLoad`]. The result is a complete, runnable

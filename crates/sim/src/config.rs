@@ -338,8 +338,7 @@ fn policy_bits(p: ReplacementPolicy) -> u64 {
 /// * `pe` — datapath issue widths and latencies; must match.
 /// * `energy` — per-access energy table. Never blocks chaining: energy
 ///   is recomputed from the final counters
-///   ([`crate::engine::recompute_energy`]), not accumulated during the
-///   run.
+///   (`engine::recompute_energy`), not accumulated during the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassPrints {
     /// Cache size/assoc/policy (replay-validated).

@@ -36,9 +36,15 @@
 //! loop no longer ships; it lives on as the reference oracle of the
 //! cross-engine equivalence suite (`crates/bench/tests/equivalence`),
 //! which this crate's unit tests also compile as `crate::legacy`.
-//! Probes are not announced skipped cycles individually;
+//! Skipped cycles are not announced to probes one by one;
 //! [`crate::probe::AttributionProbe`] attributes them run-length-wise
 //! from in-flight state, preserving `sum(attributed) == cycles * PEs`.
+//!
+//! Both loops run on one scheduler state (`SchedState`), which holds
+//! everything either loop mutates except the cache. Its `Clone` is the
+//! checkpoint [`crate::sweep`] resumes from, and one crate-private
+//! function (`run_unprobed`) runs any unprobed simulation from a fresh
+//! or cloned state on whichever loop the trace and config select.
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};
@@ -126,26 +132,51 @@ pub fn simulate_prepared_probed<P: SimProbe>(
     opts: &SimOptions,
     probe: &mut P,
 ) -> SimReport {
+    if prep.n == 0 {
+        return SimReport::default();
+    }
     // Fast path: when the probe statically observes nothing
-    // ([`SimProbe::IS_NOOP`]) and the trace/config pair admits the
-    // analytic service disciplines, the per-cycle loop drops away
-    // entirely ([`dataflow_loop`]). Probed runs keep the per-cycle core
-    // so every hook fires in per-cycle order.
-    if P::IS_NOOP && dataflow_ok(prep, cfg) {
-        let mut st = DfState::new(prep, cfg);
-        let mut cache = Cache::new(cfg.cache);
-        dataflow_loop::<false>(prep, cfg, &mut st, &mut cache, &mut Recording::disabled());
-        return finalize_dataflow(st, cache, prep, cfg, opts);
+    // ([`SimProbe::IS_NOOP`]) the run may take the analytic service
+    // disciplines. Probed runs keep the per-cycle core so every hook
+    // fires in per-cycle order.
+    if P::IS_NOOP {
+        return run_unprobed::<false>(
+            prep,
+            cfg,
+            opts,
+            SchedState::new(prep, cfg),
+            Cache::new(cfg.cache),
+            &mut Recording::disabled(),
+        );
     }
     run_core(prep, cfg, opts, probe)
+}
+
+/// Runs an unprobed simulation of `prep` on `cfg` from `st` with `cache`
+/// in the matching state — a fresh pair, or a checkpoint clone plus a
+/// cache rebuilt by replaying the recorded prefix — on whichever loop
+/// [`dataflow_ok`] selects, and finalizes the report. With `REC = true`
+/// the loop appends to `rec` and takes its scheduled checkpoints.
+pub(crate) fn run_unprobed<const REC: bool>(
+    prep: &PreparedSim,
+    cfg: &SystemConfig,
+    opts: &SimOptions,
+    mut st: SchedState,
+    mut cache: Cache,
+    rec: &mut Recording,
+) -> SimReport {
+    if dataflow_ok(prep, cfg) {
+        dataflow_loop::<REC>(prep, cfg, &mut st, &mut cache, rec);
+    } else {
+        core_loop::<NoProbe, REC>(prep, cfg, &mut st, &mut cache, rec, &mut NoProbe);
+    }
+    finalize(st, cache, prep, cfg, opts)
 }
 
 /// Whether `prep` on `cfg` is served by the pure event loop
 /// ([`dataflow_loop`]) when unprobed: no scratchpad or stream nodes, at
 /// least one cache port, and the analytic-server preconditions hold.
-/// (The empty trace stays on the per-cycle core's trivial early
-/// return.)
-pub(crate) fn dataflow_ok(prep: &PreparedSim, cfg: &SystemConfig) -> bool {
+fn dataflow_ok(prep: &PreparedSim, cfg: &SystemConfig) -> bool {
     prep.n > 0 && !prep.spad_or_stream() && cfg.cache.ports >= 1 && analytic_ok(cfg)
 }
 
@@ -205,31 +236,41 @@ impl IssueSrv {
     }
 }
 
-/// The per-cycle scheduler core's complete mutable state — everything
-/// the loop touches except the cache, which an incremental
+/// The scheduler's complete mutable state, shared by both loops —
+/// everything they touch except the cache, which an incremental
 /// re-simulation rebuilds by replaying the recorded access prefix
-/// rather than by snapshot (see [`crate::sweep`]). `Clone` *is* the
-/// checkpoint: the state is captured at a cycle boundary and
-/// [`core_loop`] resumes from the copy with byte-identical results.
+/// rather than by copy (see [`crate::sweep`]). `Clone` *is* the
+/// checkpoint: the state is captured at a cycle (per-cycle core) or
+/// batch (event loop) boundary and the same loop resumes from the copy
+/// with byte-identical results. The copy keeps the recorded config's
+/// DRAM model and MSHR count; a session only resumes it under a config
+/// whose `stream` and `cache_timing` classes match.
 #[derive(Clone)]
-pub(crate) struct CoreState {
+pub(crate) struct SchedState {
     /// Fused (ready, indeg) state: one memcpy from the arena template,
     /// one random access per dependence edge in the completion walk.
     pend: Vec<NodeState>,
     finish: Vec<u64>,
     events: EventQ,
-    /// Per-class in-order wait queues.
+    /// Per-class in-order wait queues (per-cycle core only).
     q_fp: VecDeque<u32>,
     q_int: VecDeque<u32>,
     q_mem: VecDeque<u32>,
     q_spad: VecDeque<u32>,
     q_stream: [VecDeque<u32>; 2],
+    /// Closed-form issue servers standing in for `q_fp`, `q_int` and
+    /// `q_mem` (event loop only).
+    fp_srv: IssueSrv,
+    int_srv: IssueSrv,
+    mem_srv: IssueSrv,
     /// MSHR free times: a demand miss needs a slot, else the memory
     /// queue stalls at its head.
     mshr: Vec<u64>,
     dram: Dram,
     stream_free: [u64; 2],
     report: SimReport,
+    /// Current cycle (per-cycle core only; the event loop reads time
+    /// off its event queue).
     now: u64,
     completed: usize,
     max_finish: u64,
@@ -237,13 +278,13 @@ pub(crate) struct CoreState {
     pub(crate) accesses: u64,
 }
 
-impl CoreState {
+impl SchedState {
     pub(crate) fn new(prep: &PreparedSim, cfg: &SystemConfig) -> Self {
         let mut events = EventQ::new(wheel_slots(prep.n));
         for &r in &prep.roots {
             events.push(0, r);
         }
-        CoreState {
+        SchedState {
             pend: prep.pend0.clone(),
             finish: vec![0u64; prep.n],
             events,
@@ -252,6 +293,9 @@ impl CoreState {
             q_mem: VecDeque::with_capacity(64),
             q_spad: VecDeque::with_capacity(64),
             q_stream: [VecDeque::with_capacity(16), VecDeque::with_capacity(16)],
+            fp_srv: IssueSrv::new(),
+            int_srv: IssueSrv::new(),
+            mem_srv: IssueSrv::new(),
             mshr: vec![0; cfg.cache.mshrs.max(1)],
             dram: Dram::new(cfg),
             stream_free: [0u64; 2],
@@ -266,18 +310,14 @@ impl CoreState {
 
 /// The per-cycle scheduler core: the fully announced loop (every issue
 /// reported to `probe`, any probe type), with stream gap-skipping. Runs
-/// whatever the pure event loop cannot: probed simulations and traces
-/// that touch the scratchpad or stream engines.
+/// probed simulations; unprobed ones go through [`run_unprobed`].
 fn run_core<P: SimProbe>(
     prep: &PreparedSim,
     cfg: &SystemConfig,
     opts: &SimOptions,
     probe: &mut P,
 ) -> SimReport {
-    if prep.n == 0 {
-        return SimReport::default();
-    }
-    let mut st = CoreState::new(prep, cfg);
+    let mut st = SchedState::new(prep, cfg);
     let mut cache = Cache::new(cfg.cache);
     probe.on_start(&ProbeGeometry::of(cfg, prep.phase_barrier_idx.is_some()));
     core_loop::<P, false>(
@@ -289,22 +329,21 @@ fn run_core<P: SimProbe>(
         probe,
     );
     probe.on_finish(st.max_finish);
-    finalize_core(st, cache, prep, cfg, opts)
+    finalize(st, cache, prep, cfg, opts)
 }
 
-/// The per-cycle loop itself, resumable from any [`CoreState`] captured
+/// The per-cycle loop itself, resumable from any [`SchedState`] captured
 /// at a cycle boundary. With `REC = true` every cache access's address
-/// and outcome is appended to `rec` and full-state checkpoints are
-/// taken at cycle boundaries — the per-cycle counterpart of
-/// [`dataflow_loop`]'s recording mode, which is what lets scratchpad
-/// and stream traces join [`crate::sweep`]'s incremental
-/// re-simulation. `REC = true` is only ever driven with [`NoProbe`]
-/// (the sweep path is unprobed by construction); the recording hooks
-/// compile out under `REC = false`.
-pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
+/// and outcome is appended to `rec` and checkpoints are taken at cycle
+/// boundaries — the per-cycle counterpart of [`dataflow_loop`]'s
+/// recording mode, which is what lets scratchpad and stream traces join
+/// [`crate::sweep`]'s incremental re-simulation. `REC = true` is only
+/// ever driven with [`NoProbe`] (the sweep path is unprobed by
+/// construction); the recording hooks compile out under `REC = false`.
+fn core_loop<P: SimProbe, const REC: bool>(
     prep: &PreparedSim,
     cfg: &SystemConfig,
-    st: &mut CoreState,
+    st: &mut SchedState,
     cache: &mut Cache,
     rec: &mut Recording,
     probe: &mut P,
@@ -377,7 +416,7 @@ pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
 
     while st.completed < n {
         if REC && st.accesses >= rec.next_ckpt {
-            rec.take_core_ckpt(st);
+            rec.take_ckpt(st);
         }
         probe.on_cycle_start(st.now);
         // Drain events that became ready, one id-sorted batch per
@@ -667,10 +706,11 @@ pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
     }
 }
 
-/// Turns a finished [`CoreState`] into the report — the per-cycle
-/// counterpart of [`finalize_dataflow`], sharing the same epilogue.
-pub(crate) fn finalize_core(
-    st: CoreState,
+/// Turns a finished [`SchedState`] into the report: total/forward
+/// cycles, the end-of-run dirty flush, energy, and (on request) per-node
+/// finish times.
+fn finalize(
+    st: SchedState,
     cache: Cache,
     prep: &PreparedSim,
     cfg: &SystemConfig,
@@ -681,7 +721,22 @@ pub(crate) fn finalize_core(
     report.fwd_cycles = prep
         .phase_barrier_idx
         .map_or(st.max_finish, |i| st.finish[i]);
-    finalize_report(report, st.finish, cache, cfg, opts)
+    // Cool-down: lines still dirty when the run ends must reach DRAM
+    // eventually. Charge those write-backs to traffic exactly once —
+    // this happens before energy accounting so the DRAM energy sees
+    // them too — otherwise small working sets hide store traffic by
+    // never evicting.
+    let line_bytes = cache.config().line_bytes as u64;
+    let flushed = cache.dirty_lines();
+    report.cache.writebacks += flushed;
+    report.cache.flush_writebacks = flushed;
+    report.dram_writeback_bytes += flushed * line_bytes;
+
+    recompute_energy(&mut report, cfg);
+    if opts.record_node_times {
+        report.node_finish = Some(st.finish);
+    }
+    report
 }
 
 /// Calendar slots in the event wheel: a power of two comfortably above
@@ -709,7 +764,7 @@ const NIL: u32 = u32::MAX;
 /// mallocs, reallocs and drops per run, which dominated the host
 /// profile right after the binary heap it replaced. Shared by the pure
 /// event loop and the per-cycle core; `Clone` makes it checkpointable
-/// wholesale inside [`CoreState`].
+/// wholesale inside [`SchedState`].
 #[derive(Clone)]
 struct EventQ {
     /// Slot -> first pool node (`NIL` when empty).
@@ -913,145 +968,6 @@ impl EventQ {
         // The drained slot was the earliest; the next one is unknown.
         self.cached = u64::MAX;
     }
-
-    /// Every queued `(time, id)` pair, unordered (for checkpoints).
-    fn snapshot(&self) -> Vec<(u64, u32)> {
-        let mut out = Vec::with_capacity(self.len);
-        let base = self.cur as usize & self.mask;
-        let anchor = self.cur - base as u64;
-        for s in 0..=self.mask {
-            let mut node = self.head[s];
-            if node == NIL {
-                continue;
-            }
-            let t = anchor + s as u64 + if s < base { self.mask as u64 + 1 } else { 0 };
-            while node != NIL {
-                let (next, id) = self.pool[node as usize];
-                out.push((t, id));
-                node = next;
-            }
-        }
-        for &std::cmp::Reverse(e) in &self.over {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Rebuilds a queue whose window starts at `cur` from a snapshot.
-    fn restore(cur: u64, events: &[(u64, u32)], slots: usize) -> Self {
-        let mut eq = EventQ::new(slots);
-        eq.cur = cur;
-        for &(t, id) in events {
-            eq.push(t, id);
-        }
-        eq
-    }
-}
-
-/// The pure event loop's complete scheduler state. Everything the loop
-/// mutates lives here except the cache (which an incremental
-/// re-simulation rebuilds by replay rather than by snapshot — see
-/// [`crate::sweep`]), so a checkpoint is a plain extract and a resume
-/// continues mid-run with byte-identical results.
-pub(crate) struct DfState {
-    pend: Vec<NodeState>,
-    finish: Vec<u64>,
-    eq: EventQ,
-    fp_srv: IssueSrv,
-    int_srv: IssueSrv,
-    mem_srv: IssueSrv,
-    mshr: Vec<u64>,
-    dram: Dram,
-    report: SimReport,
-    completed: usize,
-    max_finish: u64,
-    /// Cache accesses served so far — the recording/checkpoint clock.
-    accesses: u64,
-}
-
-impl DfState {
-    pub(crate) fn new(prep: &PreparedSim, cfg: &SystemConfig) -> Self {
-        let mut eq = EventQ::new(wheel_slots(prep.n));
-        for &r in &prep.roots {
-            eq.push(0, r);
-        }
-        DfState {
-            pend: prep.pend0.clone(),
-            finish: vec![0u64; prep.n],
-            eq,
-            fp_srv: IssueSrv::new(),
-            int_srv: IssueSrv::new(),
-            mem_srv: IssueSrv::new(),
-            mshr: vec![0; cfg.cache.mshrs.max(1)],
-            dram: Dram::new(cfg),
-            report: SimReport::default(),
-            completed: 0,
-            max_finish: 0,
-            accesses: 0,
-        }
-    }
-
-    fn snap(&self) -> DfSnap {
-        DfSnap {
-            pend: self.pend.clone(),
-            finish: self.finish.clone(),
-            events: self.eq.snapshot(),
-            eq_cur: self.eq.cur,
-            eq_slots: self.eq.mask + 1,
-            fp_srv: self.fp_srv,
-            int_srv: self.int_srv,
-            mem_srv: self.mem_srv,
-            mshr: self.mshr.clone(),
-            dram_busy: self.dram.busy,
-            report: self.report.clone(),
-            completed: self.completed,
-            max_finish: self.max_finish,
-            accesses: self.accesses,
-        }
-    }
-
-    /// Rebuilds the state a checkpoint captured. The caller supplies the
-    /// cache separately (replayed up to the same access count).
-    pub(crate) fn restore(s: &DfSnap, cfg: &SystemConfig) -> Self {
-        let mut dram = Dram::new(cfg);
-        dram.busy = s.dram_busy;
-        DfState {
-            pend: s.pend.clone(),
-            finish: s.finish.clone(),
-            eq: EventQ::restore(s.eq_cur, &s.events, s.eq_slots),
-            fp_srv: s.fp_srv,
-            int_srv: s.int_srv,
-            mem_srv: s.mem_srv,
-            mshr: s.mshr.clone(),
-            dram,
-            report: s.report.clone(),
-            completed: s.completed,
-            max_finish: s.max_finish,
-            accesses: s.accesses,
-        }
-    }
-}
-
-/// A scheduler-state checkpoint, taken at batch boundaries during a
-/// recorded run. Deliberately cache-free: the scheduler's evolution
-/// depends on the cache only through per-access outcomes, which the
-/// recording captures, so one set of checkpoints serves every geometry
-/// whose outcome stream shares the prefix.
-pub(crate) struct DfSnap {
-    pend: Vec<NodeState>,
-    finish: Vec<u64>,
-    events: Vec<(u64, u32)>,
-    eq_cur: u64,
-    eq_slots: usize,
-    fp_srv: IssueSrv,
-    int_srv: IssueSrv,
-    mem_srv: IssueSrv,
-    mshr: Vec<u64>,
-    dram_busy: f64,
-    report: SimReport,
-    completed: usize,
-    max_finish: u64,
-    pub(crate) accesses: u64,
 }
 
 /// Recorded access meta bit: the access was a store.
@@ -1070,52 +986,29 @@ pub(crate) const REC_SHIFT: u32 = 61;
 /// Mask recovering the address from a packed recording word.
 pub(crate) const REC_ADDR_MASK: u64 = (1 << REC_SHIFT) - 1;
 
-/// The record of a dataflow run: the cache access stream in schedule
-/// order with each access's outcome, plus periodic scheduler
-/// checkpoints. A later run that only changes the cache geometry
-/// replays `addrs` through the new cache and compares outcomes; while
-/// they match, the schedule is provably identical, so the run can skip
-/// straight to the checkpoint before the first divergence.
+/// The record of a run: the cache access stream in schedule order with
+/// each access's outcome, plus periodic scheduler checkpoints. A later
+/// run that only changes the cache geometry replays `addrs` through the
+/// new cache and compares outcomes; while they match, the schedule is
+/// provably identical, so the run can skip straight to the checkpoint
+/// before the first divergence.
 pub(crate) struct Recording {
     /// Packed access words: address in the low [`REC_SHIFT`] bits,
     /// `REC_*` outcome bits above ([`REC_SHIFT`]).
     pub(crate) addrs: Vec<u64>,
-    pub(crate) ckpts: Vec<Ckpt>,
+    /// Checkpoints in recording order, each a [`SchedState`] clone.
+    /// Deliberately cache-free: the scheduler's evolution depends on
+    /// the cache only through per-access outcomes, which the recording
+    /// captures, so one set of checkpoints serves every geometry whose
+    /// outcome stream shares the prefix (the resume path rebuilds the
+    /// cache by replaying the validated prefix).
+    pub(crate) ckpts: Vec<SchedState>,
     next_ckpt: u64,
     max_ckpts: usize,
     /// Last access position worth checkpointing: on a monotone ladder
     /// every future divergence lands at or before the one that caused
-    /// this recording, so snapshots past it can never be resumed from.
+    /// this recording, so checkpoints past it can never be resumed from.
     ckpt_limit: u64,
-}
-
-/// A checkpointed scheduler state, from whichever core recorded the
-/// run. Both variants are deliberately cache-free: the scheduler's
-/// evolution depends on the cache only through per-access outcomes,
-/// which the recording captures, so one set of checkpoints serves
-/// every geometry whose outcome stream shares the prefix (the resume
-/// path rebuilds the cache by replaying the validated prefix).
-pub(crate) enum Snap {
-    /// Pure event loop state ([`dataflow_loop`]).
-    Df(Box<DfSnap>),
-    /// Per-cycle core state ([`core_loop`]).
-    Core(Box<CoreState>),
-}
-
-impl Snap {
-    /// Cache accesses already served when the checkpoint was taken.
-    pub(crate) fn accesses(&self) -> u64 {
-        match self {
-            Snap::Df(s) => s.accesses,
-            Snap::Core(s) => s.accesses,
-        }
-    }
-}
-
-/// One checkpoint: the scheduler state with `snap.accesses()` cache
-/// accesses already served.
-pub(crate) struct Ckpt {
-    pub(crate) snap: Snap,
 }
 
 impl Recording {
@@ -1141,7 +1034,7 @@ impl Recording {
     /// the run while late checkpoints go unused. Positions past
     /// `limit` are skipped entirely (a re-record after a divergence at
     /// access *d* passes `limit = d`: no later chained run can diverge
-    /// past *d* on a monotone ladder, so snapshots there are dead
+    /// past *d* on a monotone ladder, so checkpoints there are dead
     /// weight). `cap` preallocates the access buffers (the trace's
     /// memory-node count).
     pub(crate) fn new(first: u64, max_ckpts: usize, cap: usize, limit: u64) -> Recording {
@@ -1159,25 +1052,12 @@ impl Recording {
         }
     }
 
-    fn take_df_ckpt(&mut self, st: &DfState) {
+    fn take_ckpt(&mut self, st: &SchedState) {
         if self.ckpts.len() >= self.max_ckpts {
             self.next_ckpt = u64::MAX;
             return;
         }
-        self.ckpts.push(Ckpt {
-            snap: Snap::Df(Box::new(st.snap())),
-        });
-        self.advance_schedule(st.accesses);
-    }
-
-    pub(crate) fn take_core_ckpt(&mut self, st: &CoreState) {
-        if self.ckpts.len() >= self.max_ckpts {
-            self.next_ckpt = u64::MAX;
-            return;
-        }
-        self.ckpts.push(Ckpt {
-            snap: Snap::Core(Box::new(st.clone())),
-        });
+        self.ckpts.push(st.clone());
         self.advance_schedule(st.accesses);
     }
 
@@ -1198,12 +1078,12 @@ impl Recording {
 
     /// Drops everything past checkpoint `keep` so the tail can be
     /// re-recorded from there. The re-recorded tail takes **no new
-    /// checkpoints**: snapshots cost ~24 bytes/node of memcpy each,
-    /// and on a monotone ladder every later divergence lands at or
-    /// before this one, where the surviving prefix checkpoints
-    /// already serve.
+    /// checkpoints**: each clones the per-node `pend` and `finish`
+    /// arrays (24 bytes/node) plus the event queue, and on a monotone
+    /// ladder every later divergence lands at or before this one,
+    /// where the surviving prefix checkpoints already serve.
     pub(crate) fn truncate_to(&mut self, keep: usize) {
-        let cut = self.ckpts[keep].snap.accesses();
+        let cut = self.ckpts[keep].accesses;
         self.ckpts.truncate(keep + 1);
         self.addrs.truncate(cut as usize);
         self.next_ckpt = u64::MAX;
@@ -1232,10 +1112,10 @@ impl Recording {
 /// appended to `rec` and scheduler checkpoints are taken at batch
 /// boundaries — the raw material for [`crate::sweep`]'s incremental
 /// re-simulation. The recording hooks compile out under `REC = false`.
-pub(crate) fn dataflow_loop<const REC: bool>(
+fn dataflow_loop<const REC: bool>(
     prep: &PreparedSim,
     cfg: &SystemConfig,
-    st: &mut DfState,
+    st: &mut SchedState,
     cache: &mut Cache,
     rec: &mut Recording,
 ) {
@@ -1252,14 +1132,16 @@ pub(crate) fn dataflow_loop<const REC: bool>(
 
     while st.completed < n {
         if REC && st.accesses >= rec.next_ckpt {
-            rec.take_df_ckpt(st);
+            rec.take_ckpt(st);
         }
         // An empty queue before completion means unsatisfiable
         // dependences (not a DAG); stop with a short report instead of
         // spinning — no trace built through the public constructors can
         // get here.
-        let Some(t) = st.eq.next_time() else { break };
-        st.eq.take_into(t, &mut batch);
+        let Some(t) = st.events.next_time() else {
+            break;
+        };
+        st.events.take_into(t, &mut batch);
         batch.sort_unstable();
 
         macro_rules! complete {
@@ -1282,7 +1164,7 @@ pub(crate) fn dataflow_loop<const REC: bool>(
                         if p.ready == t {
                             side.push(std::cmp::Reverse(*s));
                         } else {
-                            st.eq.push(p.ready, *s);
+                            st.events.push(p.ready, *s);
                         }
                     }
                 }
@@ -1400,52 +1282,6 @@ pub(crate) fn dataflow_loop<const REC: bool>(
         }
         batch.clear();
     }
-}
-
-/// Turns a finished [`DfState`] into the report: total/forward cycles,
-/// the end-of-run dirty flush, energy, and (on request) per-node finish
-/// times. Identical to the per-cycle core's epilogue.
-pub(crate) fn finalize_dataflow(
-    st: DfState,
-    cache: Cache,
-    prep: &PreparedSim,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> SimReport {
-    let mut report = st.report;
-    report.cycles = st.max_finish;
-    report.fwd_cycles = prep
-        .phase_barrier_idx
-        .map_or(st.max_finish, |i| st.finish[i]);
-    finalize_report(report, st.finish, cache, cfg, opts)
-}
-
-/// The shared finalize epilogue: end-of-run dirty flush, energy, and
-/// (on request) per-node finish times. `report.cycles`/`fwd_cycles`
-/// must already be set by the caller.
-fn finalize_report(
-    mut report: SimReport,
-    finish: Vec<u64>,
-    cache: Cache,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> SimReport {
-    // Cool-down: lines still dirty when the run ends must reach DRAM
-    // eventually. Charge those write-backs to traffic exactly once —
-    // this happens before energy accounting so the DRAM energy sees
-    // them too — otherwise small working sets hide store traffic by
-    // never evicting.
-    let line_bytes = cache.config().line_bytes as u64;
-    let flushed = cache.dirty_lines();
-    report.cache.writebacks += flushed;
-    report.cache.flush_writebacks = flushed;
-    report.dram_writeback_bytes += flushed * line_bytes;
-
-    recompute_energy(&mut report, cfg);
-    if opts.record_node_times {
-        report.node_finish = Some(finish);
-    }
-    report
 }
 
 /// (Re)derives the energy block from the report's counters — a pure

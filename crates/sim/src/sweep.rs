@@ -8,11 +8,11 @@
 //!
 //! 1. The first configuration runs fully, recording the cache access
 //!    stream with outcomes and taking periodic scheduler checkpoints
-//!    ([`crate::engine::Recording`]). Traces served by the pure event
-//!    loop record through it; scratchpad/stream traces record through
-//!    the per-cycle core ([`crate::engine::core_loop`]), whose complete
-//!    state is equally snapshottable — so *every* nonempty trace gets a
-//!    session, not just the cache-only ones.
+//!    (`engine::Recording`). Both simulator loops — the pure event loop
+//!    for cache-only traces, the per-cycle core for scratchpad/stream
+//!    traces — run on one scheduler state, and a checkpoint is a clone
+//!    of it, so *every* nonempty trace gets a session and one
+//!    record/resume path serves both loops.
 //! 2. Each later configuration **replays** the recorded address stream
 //!    through its own cold cache — pure `Cache::access` calls, no
 //!    scheduler at all — comparing outcomes against the record.
@@ -21,7 +21,7 @@
 //!      dirty flush (read off the replayed cache) and the
 //!      size-dependent energy terms are recomputed.
 //!    * First mismatch at access *k*: the run resumes from the last
-//!      checkpoint at or before *k* — scheduler state from the
+//!      checkpoint at or before *k* — scheduler state cloned from the
 //!      checkpoint, cache state from the replay — and re-simulates
 //!      only the tail, re-recording it for the next configuration.
 //!
@@ -44,7 +44,7 @@
 //! * **Scratchpad bank count** — validated *structurally*: the bank of
 //!   a scratchpad access is `addr % banks`, a pure per-address
 //!   function, so two counts chain iff they assign every scratchpad
-//!   address in the trace the same bank ([`spad_map_equal`]); traces
+//!   address in the trace the same bank (`spad_map_equal`); traces
 //!   without scratchpad nodes chain across any bank count.
 //! * **Energy table** — free: energy is recomputed from final counters.
 //! * Everything else — cache timing (line/ports/latency/MSHRs),
@@ -56,12 +56,10 @@
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::engine::{
-    core_loop, dataflow_loop, dataflow_ok, finalize_core, finalize_dataflow, recompute_energy,
-    simulate_prepared, CoreState, DfState, Recording, SimOptions, Snap, REC_ADDR_MASK, REC_HIT,
-    REC_SHIFT, REC_WB, REC_WRITE,
+    recompute_energy, run_unprobed, simulate_prepared, Recording, SchedState, SimOptions,
+    REC_ADDR_MASK, REC_HIT, REC_SHIFT, REC_WB, REC_WRITE,
 };
 use crate::prep::PreparedSim;
-use crate::probe::NoProbe;
 use crate::report::SimReport;
 use std::sync::Arc;
 use tapeflow_ir::OpClass;
@@ -70,9 +68,9 @@ use tapeflow_ir::OpClass;
 /// get fewer checkpoints (possibly none — incremental reuse then
 /// degrades to "replay or re-run from scratch", still exact).
 const CKPT_BUDGET: usize = 256 << 20;
-/// Conservative per-node snapshot cost estimate in bytes (fused
-/// pend/finish state plus queue and event entries; the per-cycle
-/// core's snapshots are the larger variant).
+/// Conservative per-node cost estimate of one checkpoint (a scheduler
+/// state clone) in bytes: the fused pend/finish arrays plus queue and
+/// event entries.
 const CKPT_NODE_BYTES: usize = 40;
 /// Earliest checkpoint position in accesses — below this the snapshot
 /// costs more than the prefix it saves.
@@ -85,8 +83,8 @@ const CKPT_HARD_CAP: usize = 16;
 /// simulation of the same trace, in percent. Both scale linearly with
 /// node count (the snapshot memcpys the per-node scheduler state, the
 /// simulation visits every node), so the ratio is roughly
-/// scale-invariant; ~30% holds for both the event-loop and per-cycle
-/// core variants. A checkpoint at access *a* can save at most the
+/// scale-invariant; ~30% holds on both the event loop and the
+/// per-cycle core. A checkpoint at access *a* can save at most the
 /// `a / n_mem` prefix of one future resume, so re-records only take
 /// as many snapshots as their expected resume savings can repay.
 const CKPT_COST_PCT: usize = 30;
@@ -206,7 +204,7 @@ impl SweepSession {
     ///   snapshots); full-match replays still reuse the base wholesale.
     /// * otherwise: re-records after a divergence take only as many
     ///   checkpoints as `remaining` future resumes could plausibly
-    ///   repay under the [`CKPT_COST_PCT`] cost model.
+    ///   repay under the `CKPT_COST_PCT` cost model.
     ///
     /// [`run_group`] drives sessions through this entry point with the
     /// exact plan tail length; callers without a plan can use
@@ -227,9 +225,11 @@ impl SweepSession {
     /// Whether `b` can chain off a recording made under `a`: every
     /// parameter class the replay cannot validate must be unchanged —
     /// unless the trace never exercises that subsystem at all. The
-    /// gated classes (cache timing, datapath) also pin the backend
-    /// choice ([`dataflow_ok`]), so a chained pair always resumes on
-    /// the checkpoint variant it recorded.
+    /// gated classes (cache timing, datapath) also pin the loop choice
+    /// (`engine::dataflow_ok`), so a chained pair always resumes on the
+    /// loop that recorded the checkpoint. They also make a checkpoint
+    /// clone valid under `b`: it carries `a`'s MSHR count (cache timing)
+    /// and DRAM model (`stream`, gated whenever the trace uses DRAM).
     fn chains_with(&self, a: &SystemConfig, b: &SystemConfig) -> bool {
         let (pa, pb) = (a.class_prints(), b.class_prints());
         if pa.cache_timing != pb.cache_timing || pa.pe != pb.pe {
@@ -264,8 +264,7 @@ impl SweepSession {
     /// nothing left in the plan (`remaining == 0`) the run skips
     /// recording entirely and leaves the existing base untouched — it
     /// still truthfully describes its own configuration, so a stray
-    /// later call can keep chaining off it. Dispatches to whichever
-    /// core serves this trace/config pair.
+    /// later call can keep chaining off it.
     fn record_fresh(&mut self, cfg: SystemConfig, remaining: usize, div: Option<u64>) -> SimReport {
         if remaining == 0 || (self.diverged && remaining == 1) {
             // Nothing left in the plan — or one run left right after a
@@ -289,23 +288,14 @@ impl SweepSession {
             (self.max_ckpts, u64::MAX)
         };
         let mut rec = Recording::new(self.interval, ckpts, self.n_mem, limit);
-        let mut cache = Cache::new(cfg.cache);
-        let report = if dataflow_ok(&self.prep, &cfg) {
-            let mut st = DfState::new(&self.prep, &cfg);
-            dataflow_loop::<true>(&self.prep, &cfg, &mut st, &mut cache, &mut rec);
-            finalize_dataflow(st, cache, &self.prep, &cfg, &self.opts)
-        } else {
-            let mut st = CoreState::new(&self.prep, &cfg);
-            core_loop::<NoProbe, true>(
-                &self.prep,
-                &cfg,
-                &mut st,
-                &mut cache,
-                &mut rec,
-                &mut NoProbe,
-            );
-            finalize_core(st, cache, &self.prep, &cfg, &self.opts)
-        };
+        let report = run_unprobed::<true>(
+            &self.prep,
+            &cfg,
+            &self.opts,
+            SchedState::new(&self.prep, &cfg),
+            Cache::new(cfg.cache),
+            &mut rec,
+        );
         self.base = Some(BaseRec {
             cfg,
             rec,
@@ -362,28 +352,15 @@ impl SweepSession {
         // knows divergences happen on this ladder, so the re-record
         // takes checkpoints.
         self.diverged = true;
-        let usable = b.rec.ckpts.partition_point(|c| c.snap.accesses() <= div);
+        let usable = b.rec.ckpts.partition_point(|c| c.accesses <= div);
         let Some(j) = usable.checked_sub(1) else {
             return self.record_fresh(cfg, remaining, Some(div));
         };
-        let keep = b.rec.ckpts[j].snap.accesses() as usize;
-        let mut tail_cache = Cache::new(cfg.cache);
-        for &word in &b.rec.addrs[..keep] {
-            tail_cache.access(
-                word & REC_ADDR_MASK,
-                (word >> REC_SHIFT) as u8 & REC_WRITE != 0,
-            );
-        }
-        // Restore scheduler state on whichever core recorded the run
-        // (a chained pair always agrees on the backend).
-        enum Resumed {
-            Df(Box<DfState>),
-            Core(Box<CoreState>),
-        }
-        let resumed = match &b.rec.ckpts[j].snap {
-            Snap::Df(s) => Resumed::Df(Box::new(DfState::restore(s, &cfg))),
-            Snap::Core(s) => Resumed::Core(s.clone()),
-        };
+        let keep = b.rec.ckpts[j].accesses as usize;
+        let tail_cache = replay_prefix(&cfg, &b.rec.addrs[..keep]);
+        // The clone resumes on the loop that recorded it: a chained
+        // pair agrees on every class that selects the loop.
+        let st = b.rec.ckpts[j].clone();
         if remaining <= 1 {
             // Last run of the plan — or the next-to-last right after
             // this divergence, whose successor will again diverge early
@@ -391,52 +368,28 @@ impl SweepSession {
             // Either way nobody profits from a recorded tail, so it
             // runs unrecorded, and the base — untouched — keeps
             // truthfully describing the previous configuration.
-            return match resumed {
-                Resumed::Df(st) => {
-                    let mut st = *st;
-                    let mut rec = Recording::disabled();
-                    dataflow_loop::<false>(&self.prep, &cfg, &mut st, &mut tail_cache, &mut rec);
-                    finalize_dataflow(st, tail_cache, &self.prep, &cfg, &self.opts)
-                }
-                Resumed::Core(st) => {
-                    let mut st = *st;
-                    let mut rec = Recording::disabled();
-                    core_loop::<NoProbe, false>(
-                        &self.prep,
-                        &cfg,
-                        &mut st,
-                        &mut tail_cache,
-                        &mut rec,
-                        &mut NoProbe,
-                    );
-                    finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts)
-                }
-            };
+            let mut rec = Recording::disabled();
+            return run_unprobed::<false>(&self.prep, &cfg, &self.opts, st, tail_cache, &mut rec);
         }
         b.rec.truncate_to(j);
-        let report = match resumed {
-            Resumed::Df(st) => {
-                let mut st = *st;
-                dataflow_loop::<true>(&self.prep, &cfg, &mut st, &mut tail_cache, &mut b.rec);
-                finalize_dataflow(st, tail_cache, &self.prep, &cfg, &self.opts)
-            }
-            Resumed::Core(st) => {
-                let mut st = *st;
-                core_loop::<NoProbe, true>(
-                    &self.prep,
-                    &cfg,
-                    &mut st,
-                    &mut tail_cache,
-                    &mut b.rec,
-                    &mut NoProbe,
-                );
-                finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts)
-            }
-        };
+        let report = run_unprobed::<true>(&self.prep, &cfg, &self.opts, st, tail_cache, &mut b.rec);
         b.cfg = cfg;
         b.report = report.clone();
         report
     }
+}
+
+/// A cold `cfg` cache after serving the recorded access words `prefix`
+/// — the cache state matching a checkpoint taken after them.
+fn replay_prefix(cfg: &SystemConfig, prefix: &[u64]) -> Cache {
+    let mut cache = Cache::new(cfg.cache);
+    for &word in prefix {
+        cache.access(
+            word & REC_ADDR_MASK,
+            (word >> REC_SHIFT) as u8 & REC_WRITE != 0,
+        );
+    }
+    cache
 }
 
 /// Whether bank counts `b1` and `b2` assign every scratchpad address in
@@ -507,6 +460,14 @@ mod tests {
     use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Op, Scalar, Trace};
 
     fn mixed_trace(arrays: usize, len: i64) -> Trace {
+        mixed_trace_with(arrays, len, false)
+    }
+
+    /// [`mixed_trace`], with a barrier before each array's loop when
+    /// `phased`: each array's loads then wait for the previous array's
+    /// work, so the event loop drains many small batches — and reaches
+    /// many checkpoint boundaries — instead of one batch of every load.
+    fn mixed_trace_with(arrays: usize, len: i64, phased: bool) -> Trace {
         // Loads over several arrays with FP reductions and stores —
         // enough working set that small caches diverge from large ones.
         let mut b = FunctionBuilder::new("sweep");
@@ -515,6 +476,9 @@ mod tests {
             .collect();
         let mut acc = b.f64(0.0);
         for &x in &xs {
+            if phased {
+                b.push_inst(Op::Barrier, vec![]);
+            }
             b.for_loop("i", 0, len, |b, i| {
                 let v = b.load(x, i);
                 let w = b.fmul(v, v);
@@ -656,6 +620,55 @@ mod tests {
                     fresh.to_json().render(),
                     "core-backend sweep diverged at cache={bytes}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_checkpoint_resumes_exactly_on_both_loops() {
+        // Record one run of each trace — two on the event loop, one on
+        // the per-cycle core — with a dense checkpoint schedule, then
+        // resume from a clone of each checkpoint with the cache rebuilt
+        // from the recorded prefix. Every resume must reproduce a fresh
+        // run exactly — the session tests alone would also pass if a
+        // resume silently fell back to a cold re-record.
+        let opts = SimOptions {
+            record_node_times: true,
+        };
+        let cfg = SystemConfig::with_cache_bytes(2048);
+        let traces = [
+            (mixed_trace(4, 128), true),
+            (mixed_trace_with(4, 128, true), true),
+            (spad_stream_trace(192), false),
+        ];
+        for (trace, event_loop) in traces {
+            let prep = PreparedSim::new(&trace).unwrap();
+            assert_eq!(prep.spad_or_stream(), !event_loop);
+            let fresh = simulate(&trace, &cfg, &opts).unwrap();
+            let mut rec = Recording::new(4, CKPT_HARD_CAP, prep.n_mem, u64::MAX);
+            let recorded = run_unprobed::<true>(
+                &prep,
+                &cfg,
+                &opts,
+                SchedState::new(&prep, &cfg),
+                Cache::new(cfg.cache),
+                &mut rec,
+            );
+            assert_eq!(recorded.to_json().render(), fresh.to_json().render());
+            assert!(rec.ckpts.len() >= 2, "only {} checkpoints", rec.ckpts.len());
+            for ckpt in &rec.ckpts {
+                let at = ckpt.accesses;
+                assert!(at > 0 && at < rec.addrs.len() as u64);
+                let cache = replay_prefix(&cfg, &rec.addrs[..at as usize]);
+                let mut off = Recording::disabled();
+                let resumed =
+                    run_unprobed::<false>(&prep, &cfg, &opts, ckpt.clone(), cache, &mut off);
+                assert_eq!(
+                    resumed.to_json().render(),
+                    fresh.to_json().render(),
+                    "resume from access {at} diverged (event loop: {event_loop})"
+                );
+                assert_eq!(resumed.node_finish, fresh.node_finish, "access {at}");
             }
         }
     }
