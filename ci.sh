@@ -17,6 +17,14 @@ echo "== tier-1 verify (the whole workspace: see default-members) =="
 cargo build --release
 cargo test -q
 
+echo "== examples (the four root examples run to completion) =="
+# Tier-1 compiles the examples but never runs them. Each drives the
+# public API end to end (build, differentiate, compile, trace,
+# PreparedSim::new, simulate_prepared) and fails on a broken assertion.
+for ex in quickstart mass_spring_training cannonball tape_inspector; do
+    cargo run --release --example "$ex" > /dev/null
+done
+
 echo "== profile smoke (stall attribution + provenance + chrome trace) =="
 # The profile subcommand must run end to end: the invariant-checked
 # stall table, source-attributed hot spots, a machine-readable report,

@@ -1,7 +1,7 @@
 //! End-to-end gradient correctness: every structural feature the paper's
 //! benchmarks rely on, checked against central finite differences.
 
-use tapeflow_autodiff::gradcheck::{check_gradient, LossSpec};
+use tapeflow_autodiff::gradcheck::{analytic_gradient, check_gradient, LossSpec};
 use tapeflow_autodiff::{differentiate, AdOptions, TapePolicy};
 use tapeflow_ir::{ArrayId, ArrayKind, Function, FunctionBuilder, Memory, Scalar};
 
@@ -526,5 +526,58 @@ fn seed_scaling_is_linear() {
     let g2 = run_with_seed(2.0);
     for (a, b2) in g1.iter().zip(&g2) {
         assert!((2.0 * a - b2).abs() < 1e-12);
+    }
+}
+
+/// `y = Σx` over a 2×2 ones input (stored flat), `z = y²`: every
+/// element's gradient is `dz/dx = 2y = 8`, exactly.
+#[test]
+fn square_of_sum_on_ones_has_gradient_eight() {
+    let mut b = FunctionBuilder::new("square_of_sum");
+    let x = b.array("x", 4, ArrayKind::Input, Scalar::F64);
+    let y = b.array("y", 1, ArrayKind::Output, Scalar::F64);
+    let z = b.array("z", 1, ArrayKind::Output, Scalar::F64);
+    b.for_loop("i", 0, 4, |b, i| {
+        let xi = b.load(x, i);
+        let c = b.load_cell(y);
+        let s = b.fadd(c, xi);
+        b.store_cell(y, s);
+    });
+    let yv = b.load_cell(y);
+    let zv = b.fmul(yv, yv);
+    b.store_cell(z, zv);
+    let func = b.finish();
+    let grad = differentiate(&func, &AdOptions::new(vec![x], vec![z])).unwrap();
+    let mut mem = Memory::for_function(&func);
+    mem.set_f64(x, &[1.0; 4]);
+    let loss = LossSpec::cell(z);
+    let dz_dx = analytic_gradient(&func, &grad, &mem, &[x], loss).unwrap();
+    assert_eq!(dz_dx, [[8.0; 4]]);
+    check_gradient(&func, &grad, &mem, &[x], loss, EPS, RTOL, ATOL).unwrap();
+}
+
+/// `y = x²`, `z = y²` at `x = 3`, differentiated once for both outputs
+/// (like a persistent tape): `dz/dx = 4x³ = 108` and `dy/dx = 2x = 6`,
+/// exactly.
+#[test]
+fn square_of_square_at_three_has_gradient_108() {
+    let mut b = FunctionBuilder::new("square_of_square");
+    let x = b.array("x", 1, ArrayKind::Input, Scalar::F64);
+    let y = b.array("y", 1, ArrayKind::Output, Scalar::F64);
+    let z = b.array("z", 1, ArrayKind::Output, Scalar::F64);
+    let xv = b.load_cell(x);
+    let yv = b.fmul(xv, xv);
+    b.store_cell(y, yv);
+    let zv = b.fmul(yv, yv);
+    b.store_cell(z, zv);
+    let func = b.finish();
+    let grad = differentiate(&func, &AdOptions::new(vec![x], vec![y, z])).unwrap();
+    let mut mem = Memory::for_function(&func);
+    mem.set_f64(x, &[3.0]);
+    for (out, want) in [(z, 108.0), (y, 6.0)] {
+        let loss = LossSpec::cell(out);
+        let got = analytic_gradient(&func, &grad, &mem, &[x], loss).unwrap();
+        assert_eq!(got, [[want]], "d{}/dx", func.array(out).name);
+        check_gradient(&func, &grad, &mem, &[x], loss, EPS, RTOL, ATOL).unwrap();
     }
 }

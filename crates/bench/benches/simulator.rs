@@ -6,7 +6,7 @@ use tapeflow_benchmarks::{by_name, Scale};
 use tapeflow_core::{compile, CompileOptions};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayId, Memory};
-use tapeflow_sim::{simulate, SimOptions, SystemConfig};
+use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 fn traced(name: &str, tapeflow: bool) -> tapeflow_ir::Trace {
     let bench = by_name(name, Scale::Small);
@@ -41,12 +41,8 @@ fn bench_simulate() {
     for (label, tf) in [("enzyme", false), ("tapeflow", true)] {
         let trace = traced("pathfinder", tf);
         group.bench(format!("pathfinder/{label}"), || {
-            simulate(
-                &trace,
-                &SystemConfig::baseline_32k(),
-                &SimOptions::default(),
-            )
-            .expect("simulates")
+            let prep = PreparedSim::new(&trace).expect("fits the arena limits");
+            simulate_prepared(&prep, &SystemConfig::baseline_32k(), &SimOptions::default())
         });
     }
 }

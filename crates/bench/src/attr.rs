@@ -12,7 +12,7 @@
 //! `experiments --hot-spots`.
 
 use std::collections::BTreeMap;
-use tapeflow_ir::{ArrayKind, Function, Op, Trace};
+use tapeflow_ir::{ArrayKind, Function, Op};
 use tapeflow_sim::json::Value;
 use tapeflow_sim::{InstBreakdown, StallKind};
 
@@ -62,16 +62,6 @@ impl InstAttr {
     pub fn get(&self, kind: StallKind) -> u64 {
         self.units[StallKind::ALL.iter().position(|k| *k == kind).unwrap()]
     }
-}
-
-/// The trace-node → instruction back-map [`tapeflow_sim::AttributionProbe::with_inst_map`]
-/// consumes: node `n` executed instruction `map[n]`.
-pub fn node_to_inst(trace: &Trace) -> Vec<u32> {
-    trace
-        .nodes()
-        .iter()
-        .map(|n| n.inst.index() as u32)
-        .collect()
 }
 
 /// A short human label for `op` in `f`: cache-backed tape accesses (the
@@ -312,7 +302,9 @@ mod tests {
     use super::*;
     use tapeflow_ir::trace::{trace_function, TraceOptions};
     use tapeflow_ir::{FunctionBuilder, Memory, Scalar};
-    use tapeflow_sim::{simulate_probed, AttributionProbe, SimOptions, SystemConfig};
+    use tapeflow_sim::{
+        simulate_prepared_probed, AttributionProbe, PreparedSim, SimOptions, SystemConfig,
+    };
 
     fn probed_rows() -> (Function, Vec<InstAttr>, u64) {
         let mut b = FunctionBuilder::new("t");
@@ -327,15 +319,13 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         mem.set_f64(x, &vec![0.5; 64]);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let map = node_to_inst(&trace);
-        let mut probe = AttributionProbe::with_inst_map(map, f.insts().len());
-        simulate_probed(
-            &trace,
+        let mut probe = AttributionProbe::with_inst_map(trace.insts(), f.insts().len());
+        simulate_prepared_probed(
+            &PreparedSim::new(&trace).unwrap(),
             &SystemConfig::with_cache_bytes(1024),
             &SimOptions::default(),
             &mut probe,
-        )
-        .unwrap();
+        );
         let (bd, inst_bd) = probe.into_parts();
         let rows = resolve(&f, None, &inst_bd.unwrap());
         (f, rows, bd.total_units())

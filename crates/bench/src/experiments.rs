@@ -566,9 +566,11 @@ impl Lab {
             ],
         );
         for p in &mut self.prepared {
-            let tr = p.trace(&E32K);
-            let r32 = analysis::register_pressure(tr, 32);
-            let r64 = analysis::register_pressure(tr, 64);
+            let tr = p
+                .try_trace_shared(&E32K)
+                .expect("the gradient always traces");
+            let r32 = analysis::register_pressure(&p.grad.func, &tr, 32);
+            let r64 = analysis::register_pressure(&p.grad.func, &tr, 64);
             t.row(vec![
                 p.bench.name.into(),
                 r32.values.to_string(),

@@ -18,8 +18,8 @@ use tapeflow_core::{CompileMode, CompileOptions, CompiledProgram, CoreError};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayId, Memory, Trace};
 use tapeflow_sim::{
-    simulate_prepared, simulate_prepared_probed, AttributionProbe, CycleBreakdown, PreparedSim,
-    SimOptions, SimReport, SweepSession, SystemConfig,
+    simulate_prepared_probed, AttributionProbe, CycleBreakdown, PreparedSim, SimOptions, SimReport,
+    SweepSession, SystemConfig,
 };
 
 /// One simulated configuration, in the paper's naming scheme.
@@ -440,29 +440,8 @@ impl Prepared {
             .contains_key(&(Self::key_of(config), sys.fingerprint(), record_times))
     }
 
-    /// Runs one simulation *without* touching the memo. Requires the
-    /// program to have been prepared via [`Prepared::ensure_program`]
-    /// first; returns `None` for infeasible configurations. Takes `&self`
-    /// so a worker pool can fan out over shared references.
-    pub fn sim_uncached(
-        &self,
-        config: &Config,
-        sys: &SystemConfig,
-        record_times: bool,
-    ) -> Option<SimReport> {
-        let prep = self.preps.get(&Self::key_of(config))?;
-        Some(simulate_prepared(
-            prep,
-            sys,
-            &SimOptions {
-                record_node_times: record_times,
-            },
-        ))
-    }
-
     /// Re-runs one simulation under the cycle-attribution probe and
-    /// returns the per-cause breakdown. Like [`Prepared::sim_uncached`]
-    /// this skips the memo, requires [`Prepared::ensure_program`] first,
+    /// returns the per-cause breakdown. This skips the memo, requires [`Prepared::ensure_program`] first,
     /// and takes `&self` so a worker pool can fan out over shared
     /// references; `None` for infeasible configurations. The breakdown
     /// is a pure function of the trace and system configuration, so its
@@ -510,8 +489,7 @@ impl Prepared {
             ProgramKey::Gradient => &self.grad.func,
             k => &self.compiled.get(&k)?.func,
         };
-        let mut probe =
-            AttributionProbe::with_inst_map(crate::attr::node_to_inst(trace), func.insts().len());
+        let mut probe = AttributionProbe::with_inst_map(trace.insts(), func.insts().len());
         simulate_prepared_probed(
             prep,
             sys,
@@ -530,8 +508,8 @@ impl Prepared {
         Some(rows)
     }
 
-    /// Stores a simulation result computed elsewhere (by
-    /// [`Prepared::sim_uncached`] on a worker thread) into the memo.
+    /// Stores a simulation result computed elsewhere (by a
+    /// [`SweepPlanner`] on worker threads) into the memo.
     pub fn insert_sim(
         &mut self,
         config: &Config,
@@ -603,8 +581,8 @@ impl Prepared {
 /// Independent trace groups are embarrassingly parallel —
 /// [`SweepPlanner::run_parallel`] fans them out over the worker pool
 /// with order-fixed collection, so results are byte-identical at any
-/// job count (and to cold [`simulate_prepared`] runs, the session
-/// contract).
+/// job count (and to cold [`tapeflow_sim::simulate_prepared`] runs,
+/// the session contract).
 pub struct SweepPlanner {
     groups: Vec<PlanGroup>,
     /// Total unit count (feasible or not) — the result vector's length.
@@ -748,18 +726,6 @@ mod tests {
             2,
             "two distinct memo entries, not one aliased"
         );
-    }
-
-    #[test]
-    fn uncached_sim_matches_memoized_path() {
-        let mut p = Prepared::new(by_name("logsum", Scale::Tiny));
-        let config = Config::tapeflow(2048);
-        let sys = sys_for(&config);
-        assert!(p.ensure_program(&config));
-        let direct = p.sim_uncached(&config, &sys, false).unwrap();
-        let memoized = p.try_sim_with(&config, &sys, false).unwrap();
-        assert_eq!(direct.cycles, memoized.cycles);
-        assert_eq!(direct.dram_fill_bytes, memoized.dram_fill_bytes);
     }
 
     #[test]

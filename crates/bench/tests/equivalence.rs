@@ -12,15 +12,15 @@
 mod oracle;
 
 use std::sync::Arc;
-use tapeflow_bench::attr::node_to_inst;
 use tapeflow_bench::experiments::Lab;
 use tapeflow_bench::harness::{sys_for, Config, Prepared, SweepPlanner};
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Op, Scalar, Trace};
 use tapeflow_sim::{
-    simulate, simulate_prepared, simulate_probed, AttributionProbe, CycleBreakdown, InstBreakdown,
-    NoProbe, SimError, SimOptions, SimReport, SweepSession, SystemConfig, TraceRecorder,
+    simulate_prepared, simulate_prepared_probed, AttributionProbe, CycleBreakdown, InstBreakdown,
+    NoProbe, PreparedSim, SimError, SimOptions, SimReport, StallKind, SweepSession, SystemConfig,
+    TraceRecorder,
 };
 
 /// Program variants exercised per benchmark: the Enzyme baseline and
@@ -49,8 +49,8 @@ fn observe(
     trace: &Trace,
     sim: impl FnOnce(&mut (AttributionProbe, TraceRecorder)) -> Result<SimReport, SimError>,
 ) -> Observed {
-    let map = node_to_inst(trace);
-    let insts = map.iter().max().map_or(0, |&i| i as usize + 1);
+    let map = trace.insts();
+    let insts = map.iter().max().map_or(0, |i| i.index() + 1);
     // Same pid/name on both engines: the Chrome traces can only differ
     // if the simulated timelines differ.
     let mut probe = (
@@ -76,10 +76,12 @@ fn observe(
 }
 
 /// Asserts that the event core and the oracle agree on every observable
-/// output of `trace` on `sys`; returns the event core's report.
-fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> SimReport {
+/// output of `trace` on `sys`; returns what the event core showed.
+fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> Observed {
     let opts = SimOptions::default();
-    let event = observe(label, trace, |p| simulate_probed(trace, sys, &opts, p));
+    let event = observe(label, trace, |p| {
+        PreparedSim::new(trace).map(|prep| simulate_prepared_probed(&prep, sys, &opts, p))
+    });
     let oracle = observe(label, trace, |p| {
         oracle::simulate_probed(trace, sys, &opts, p)
     });
@@ -101,7 +103,7 @@ fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> SimRe
         event.timeline, oracle.timeline,
         "{label}: chrome trace differs"
     );
-    event.report
+    event
 }
 
 /// Traces a hand-built function.
@@ -143,7 +145,7 @@ fn reports_attributions_and_traces_match_across_engines() {
             v = b.fadd(v, one);
         }
     });
-    let r = assert_engines_agree("fadd chain", &chain, &cfg);
+    let r = assert_engines_agree("fadd chain", &chain, &cfg).report;
     assert_eq!(r.fp_ops, 10);
     assert_eq!(r.cycles, 10 * cfg.pe.fp_alu_latency);
     // Back-to-back streams: big transfers leave long engine-busy gaps
@@ -160,8 +162,39 @@ fn reports_attributions_and_traces_match_across_engines() {
             b.push_inst(Op::StreamIn(tape), vec![base, zero, elems]);
         }
     });
-    let r = assert_engines_agree("back-to-back streams", &streams, &cfg);
+    let r = assert_engines_agree("back-to-back streams", &streams, &cfg).report;
     assert_eq!(r.stream_cmds, 8, "all streams executed: {r:?}");
+    // Dense bank conflicts: 80 independent scratchpad stores that all map
+    // to bank 0, ready at cycle 0, so the queue holds more accesses than
+    // the scan window (64). One access on another bank sits inside the
+    // first window and three sit past it, where the window only reaches
+    // them as bank 0's backlog drains.
+    let banks = cfg.spad.banks as i64;
+    let conflicts = trace_of(|b| {
+        let size = u32::try_from(80 * banks).unwrap();
+        b.push_inst(Op::SAlloc { size, base: 0 }, vec![]);
+        let v = b.f64(1.0);
+        let store = |b: &mut FunctionBuilder, entry: i64| {
+            let entry = b.i64(entry);
+            b.push_inst(Op::SpadStore, vec![entry, v]);
+        };
+        for k in 0..80 {
+            store(b, k * banks);
+            if k == 10 {
+                store(b, 1);
+            }
+        }
+        for other in 2..5 {
+            store(b, other);
+        }
+    });
+    let seen = assert_engines_agree("dense bank conflicts", &conflicts, &cfg);
+    assert_eq!(seen.report.spad_accesses, 84);
+    assert!(
+        seen.stalls.get(StallKind::SpadConflict) > 0,
+        "bank 0's backlog must stall: {:?}",
+        seen.stalls
+    );
 }
 
 #[test]
@@ -173,9 +206,10 @@ fn probes_do_not_perturb_reports() {
         let trace = p.try_trace_shared(&config).expect("gradient always traces");
         let sys = sys_for(&config);
         let probe = || (AttributionProbe::new(), TraceRecorder::new(1, name));
+        let prep = PreparedSim::new(&trace).expect("arena");
         let event = (
-            simulate(&trace, &sys, &opts).expect("bare run"),
-            simulate_probed(&trace, &sys, &opts, &mut probe()).expect("probed run"),
+            simulate_prepared(&prep, &sys, &opts),
+            simulate_prepared_probed(&prep, &sys, &opts, &mut probe()),
         );
         let oracle = (
             oracle::simulate_probed(&trace, &sys, &opts, &mut NoProbe).expect("bare run"),
@@ -254,7 +288,7 @@ fn cross_parameter_sweeps_derive_cold_runs_on_spad_stream_traces() {
             let agreed = assert_engines_agree(&label, &trace, sys);
             assert_eq!(
                 derived,
-                agreed.to_json().render(),
+                agreed.report.to_json().render(),
                 "{label}: session vs oracle"
             );
             exercised += 1;

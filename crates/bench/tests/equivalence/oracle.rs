@@ -12,8 +12,8 @@
 //! `legacy` module.
 
 use std::collections::{BinaryHeap, VecDeque};
-use tapeflow_ir::trace::Phase;
-use tapeflow_ir::{NodeId, Op, OpClass, Trace};
+use tapeflow_ir::trace::{Phase, FLAG_STREAM_IN};
+use tapeflow_ir::{NodeId, OpClass, Trace};
 use tapeflow_sim::probe::CacheAccessEvent;
 use tapeflow_sim::{
     Cache, EnergyReport, EnergyTable, PreparedSim, ProbeGeometry, SimError, SimOptions, SimProbe,
@@ -54,9 +54,12 @@ impl Dram {
 const SPAD_SCAN_WINDOW: usize = 64;
 
 /// Simulates `trace` on `cfg` with the scalar per-cycle loop. The loop
-/// body is the pre-event-core scheduler, unchanged; only the up-front
-/// index-width guard (which the old code lacked — node ids silently
-/// truncated to `u32`) was added.
+/// body is the pre-event-core scheduler, unchanged but for two things:
+/// the up-front index-width guard (which the old code lacked — node ids
+/// silently truncated to `u32`), and node metadata read from the
+/// trace's columns instead of per-node structs. The stream direction
+/// is the trace's `FLAG_STREAM_IN` bit, which also routes compressed
+/// `StreamInC` commands inward, as the event core does.
 pub fn simulate_probed<P: SimProbe>(
     trace: &Trace,
     cfg: &SystemConfig,
@@ -121,7 +124,8 @@ pub fn simulate_probed<P: SimProbe>(
     let mut dram = Dram::new(cfg);
     let mut stream_free = [0u64; 2];
 
-    let phase_barrier_idx = trace.nodes().iter().position(|nd| nd.phase == Phase::Rev);
+    let cols = trace.columns();
+    let phase_barrier_idx = (0..n).find(|&i| cols.phase(i) == Phase::Rev);
     probe.on_start(&ProbeGeometry::of(cfg, phase_barrier_idx.is_some()));
 
     let mut now: u64 = 0;
@@ -161,8 +165,7 @@ pub fn simulate_probed<P: SimProbe>(
                 break;
             }
             events.pop();
-            let node = &trace.nodes()[id as usize];
-            match node.class() {
+            match cols.class()[id as usize] {
                 OpClass::Sync => {
                     // Barriers and SAlloc cost nothing by themselves.
                     complete!(id, now);
@@ -172,7 +175,7 @@ pub fn simulate_probed<P: SimProbe>(
                 OpClass::MemLoad | OpClass::MemStore => q_mem.push_back(id),
                 OpClass::SpadLoad | OpClass::SpadStore => q_spad.push_back(id),
                 OpClass::Stream => {
-                    let dir = usize::from(matches!(node.op, Op::StreamIn(_)));
+                    let dir = usize::from(cols.flags()[id as usize] & FLAG_STREAM_IN != 0);
                     q_stream[dir].push_back(id);
                 }
             }
@@ -184,7 +187,7 @@ pub fn simulate_probed<P: SimProbe>(
             let Some(id) = q_fp.pop_front() else { break };
             fp_left -= 1;
             report.fp_ops += 1;
-            let class = trace.nodes()[id as usize].class();
+            let class = cols.class()[id as usize];
             let lat = match class {
                 OpClass::FpAlu => cfg.pe.fp_alu_latency,
                 OpClass::FpMul => cfg.pe.fp_mul_latency,
@@ -210,8 +213,9 @@ pub fn simulate_probed<P: SimProbe>(
         let mut ports_left = cfg.cache.ports;
         while ports_left > 0 {
             let Some(&id) = q_mem.front() else { break };
-            let node = &trace.nodes()[id as usize];
-            let is_write = node.class() == OpClass::MemStore;
+            let i = id as usize;
+            let (is_tape, is_rev) = (cols.is_tape(i), cols.phase(i) == Phase::Rev);
+            let is_write = cols.class()[i] == OpClass::MemStore;
             // Peek whether this would miss without an MSHR available.
             let mshr_slot = mshr
                 .iter()
@@ -219,14 +223,14 @@ pub fn simulate_probed<P: SimProbe>(
                 .min_by_key(|(_, &t)| t)
                 .map(|(i, _)| i)
                 .expect("mshr vec non-empty");
-            let res = cache.access(node.addr, is_write);
+            let res = cache.access(cols.addr()[i], is_write);
             if !res.hit && mshr[mshr_slot] > now {
                 // Undo nothing: the line was allocated, but the request
                 // still pays the stall — model the stall by waiting.
                 // (Allocation-on-stall slightly favours the baseline.)
                 report.cache.misses += 1;
-                report.cache.tape_misses += u64::from(node.is_tape);
-                report.cache.rev_misses += u64::from(node.phase == Phase::Rev);
+                report.cache.tape_misses += u64::from(is_tape);
+                report.cache.rev_misses += u64::from(is_rev);
                 report.dram_fill_bytes += line_bytes;
                 if res.writeback.is_some() {
                     report.cache.writebacks += 1;
@@ -237,15 +241,15 @@ pub fn simulate_probed<P: SimProbe>(
                 let (_, fin) = dram.transfer(start, line_bytes);
                 mshr[mshr_slot] = fin;
                 q_mem.pop_front();
-                probe.on_mshr_stall(now, node.is_tape, id);
+                probe.on_mshr_stall(now, is_tape, id);
                 probe.on_cache_access(&CacheAccessEvent {
                     node: id,
                     now,
                     fin: fin + cfg.cache.hit_latency,
                     port: cfg.cache.ports - ports_left,
                     hit: false,
-                    is_tape: node.is_tape,
-                    is_rev: node.phase == Phase::Rev,
+                    is_tape,
+                    is_rev,
                     is_write,
                 });
                 complete!(id, fin + cfg.cache.hit_latency);
@@ -254,7 +258,6 @@ pub fn simulate_probed<P: SimProbe>(
             }
             q_mem.pop_front();
             ports_left -= 1;
-            let (is_tape, is_rev) = (node.is_tape, node.phase == Phase::Rev);
             let port = cfg.cache.ports - ports_left - 1;
             if res.hit {
                 report.cache.hits += 1;
@@ -305,8 +308,7 @@ pub fn simulate_probed<P: SimProbe>(
         while scanned < SPAD_SCAN_WINDOW {
             let Some(id) = q_spad.pop_front() else { break };
             scanned += 1;
-            let node = &trace.nodes()[id as usize];
-            let bank = (node.addr as usize) % cfg.spad.banks.max(1);
+            let bank = (cols.addr()[id as usize] as usize) % cfg.spad.banks.max(1);
             if banks_used & (1u64 << bank) == 0 {
                 banks_used |= 1u64 << bank;
                 report.spad_accesses += 1;
@@ -325,8 +327,7 @@ pub fn simulate_probed<P: SimProbe>(
         for dir in 0..2 {
             if stream_free[dir] <= now {
                 if let Some(id) = q_stream[dir].pop_front() {
-                    let node = &trace.nodes()[id as usize];
-                    let bytes = node.bytes as u64;
+                    let bytes = u64::from(cols.bytes()[id as usize]);
                     report.stream_cmds += 1;
                     report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = dram.transfer(now, bytes);

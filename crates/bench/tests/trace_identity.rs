@@ -33,12 +33,17 @@ impl Fnv {
 
 fn fingerprint(t: &Trace) -> Fingerprint {
     let mut h = Fnv::new();
-    for (i, n) in t.nodes().iter().enumerate() {
-        h.word(n.inst.index() as u64);
-        h.bytes(&[n.class() as u8, n.phase as u8, u8::from(n.is_tape)]);
-        h.word(u64::from(n.layer));
-        h.word(n.addr);
-        h.word(u64::from(n.bytes));
+    let cols = t.columns();
+    for i in 0..t.len() {
+        h.word(t.insts()[i].index() as u64);
+        h.bytes(&[
+            cols.class()[i] as u8,
+            cols.phase(i) as u8,
+            u8::from(cols.is_tape(i)),
+        ]);
+        h.word(u64::from(t.layers()[i]));
+        h.word(cols.addr()[i]);
+        h.word(u64::from(cols.bytes()[i]));
         let deps = t.deps(NodeId::new(i));
         h.word(deps.len() as u64);
         for d in deps {

@@ -6,7 +6,7 @@ use tapeflow_benchmarks::{suite, Benchmark, Scale};
 use tapeflow_core::{compile, CompileMode, CompileOptions};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayId, Memory};
-use tapeflow_sim::{simulate, SimOptions, SystemConfig};
+use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 fn shadows_after(
     func: &tapeflow_ir::Function,
@@ -62,7 +62,7 @@ fn all_benchmarks_simulate_both_configs() {
             },
         )
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let ez = simulate(&t, &cfg, &SimOptions::default()).unwrap();
+        let ez = simulate_prepared(&PreparedSim::new(&t).unwrap(), &cfg, &SimOptions::default());
         assert!(ez.cycles > 0, "{}", b.name);
         assert!(
             ez.cache.tape_hits + ez.cache.tape_misses > 0,
@@ -84,7 +84,11 @@ fn all_benchmarks_simulate_both_configs() {
             },
         )
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        let tf = simulate(&t2, &cfg, &SimOptions::default()).unwrap();
+        let tf = simulate_prepared(
+            &PreparedSim::new(&t2).unwrap(),
+            &cfg,
+            &SimOptions::default(),
+        );
         assert!(tf.cycles > 0, "{}", b.name);
         // Only unmanaged top-level scalars may remain on the cache path
         // (one store + one load each).

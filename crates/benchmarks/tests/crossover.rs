@@ -6,7 +6,7 @@ use tapeflow_benchmarks::pathfinder_sized;
 use tapeflow_core::{compile, CompileOptions};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayId, Memory};
-use tapeflow_sim::{simulate, SimOptions, SystemConfig};
+use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 /// Steady-state DRAM bytes per program access for both configurations
 /// at the given grid size, on a 32 KB cache. The one-time cool-down
@@ -31,7 +31,7 @@ fn dram_per_access(rows: usize, cols: usize) -> (f64, f64) {
             },
         )
         .unwrap();
-        let r = simulate(&t, &cfg, &SimOptions::default()).unwrap();
+        let r = simulate_prepared(&PreparedSim::new(&t).unwrap(), &cfg, &SimOptions::default());
         let flush_bytes = r.cache.flush_writebacks * cfg.cache.line_bytes as u64;
         (r.dram_bytes() - flush_bytes) as f64 / (r.cache.accesses() + r.spad_accesses).max(1) as f64
     };

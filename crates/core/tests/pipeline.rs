@@ -298,10 +298,12 @@ fn streams_obey_lifo_stack_order() {
     .unwrap();
     let mut outs: Vec<(u64, u32)> = Vec::new();
     let mut ins: Vec<(u64, u32)> = Vec::new();
-    for node in trace.nodes() {
-        match node.op {
-            Op::StreamOut(_) => outs.push((node.addr, node.bytes)),
-            Op::StreamIn(_) => ins.push((node.addr, node.bytes)),
+    let cols = trace.columns();
+    for (i, &inst) in trace.insts().iter().enumerate() {
+        let node = (cols.addr()[i], cols.bytes()[i]);
+        match c.func.inst(inst).op {
+            Op::StreamOut(_) => outs.push(node),
+            Op::StreamIn(_) => ins.push(node),
             _ => {}
         }
     }

@@ -216,18 +216,15 @@ fn stream_stack_lifo_under_random_programs() {
             },
         )
         .unwrap();
-        let outs: Vec<(u64, u32)> = trace
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, Op::StreamOut(_)))
-            .map(|n| (n.addr, n.bytes))
-            .collect();
-        let ins: Vec<(u64, u32)> = trace
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, Op::StreamIn(_)))
-            .map(|n| (n.addr, n.bytes))
-            .collect();
+        let cols = trace.columns();
+        let streams = |want: fn(&Op) -> bool| -> Vec<(u64, u32)> {
+            (0..trace.len())
+                .filter(|&i| want(&c.func.inst(trace.insts()[i]).op))
+                .map(|i| (cols.addr()[i], cols.bytes()[i]))
+                .collect()
+        };
+        let outs = streams(|op| matches!(op, Op::StreamOut(_)));
+        let ins = streams(|op| matches!(op, Op::StreamIn(_)));
         let popped: Vec<_> = outs.iter().rev().copied().collect();
         assert_eq!(popped, ins, "case {case}: {steps:?}");
     }

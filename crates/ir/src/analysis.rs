@@ -69,11 +69,10 @@ impl TraceStats {
 
 /// Classifies one edge given its endpoints.
 fn edge_kind(trace: &Trace, p: crate::NodeId, c: crate::NodeId) -> EdgeKind {
-    let pn = trace.node(p);
-    let cn = trace.node(c);
-    if pn.is_tape && cn.is_tape {
+    let cols = trace.columns();
+    if cols.is_tape(p.index()) && cols.is_tape(c.index()) {
         EdgeKind::Tape
-    } else if cn.phase == Phase::Rev {
+    } else if cols.phase(c.index()) == Phase::Rev {
         EdgeKind::Rev
     } else {
         EdgeKind::Fwd
@@ -88,29 +87,31 @@ pub fn trace_stats(trace: &Trace) -> TraceStats {
     };
     // (first_touch, last_touch) per 8-byte DRAM word, by node index.
     let mut touch: HashMap<u64, (u32, u32)> = HashMap::new();
-    for (i, n) in trace.nodes().iter().enumerate() {
-        match n.class() {
+    let cols = trace.columns();
+    for (i, (&class, &addr)) in cols.class().iter().zip(cols.addr()).enumerate() {
+        match class {
             OpClass::FpAlu | OpClass::FpMul | OpClass::FpLong => s.fp_ops += 1,
             OpClass::Int => s.int_ops += 1,
             OpClass::MemLoad | OpClass::MemStore => {
                 s.mem_accesses += 1;
-                if n.is_tape {
+                if cols.is_tape(i) {
                     s.tape_mem_accesses += 1;
                 }
-                match n.phase {
+                match cols.phase(i) {
                     Phase::Fwd => s.fwd_mem_accesses += 1,
                     Phase::Rev => s.rev_mem_accesses += 1,
                 }
-                let e = touch.entry(n.addr & !7).or_insert((i as u32, i as u32));
+                let e = touch.entry(addr & !7).or_insert((i as u32, i as u32));
                 e.1 = i as u32;
             }
             OpClass::SpadLoad | OpClass::SpadStore => s.spad_accesses += 1,
             OpClass::Stream => {
+                let bytes = u64::from(cols.bytes()[i]);
                 s.streams += 1;
-                s.stream_bytes += n.bytes as u64;
+                s.stream_bytes += bytes;
                 // Streams touch DRAM too; count their footprint.
-                for k in 0..(n.bytes as u64 / 8) {
-                    let a = (n.addr + 8 * k) & !7;
+                for k in 0..(bytes / 8) {
+                    let a = (addr + 8 * k) & !7;
                     let e = touch.entry(a).or_insert((i as u32, i as u32));
                     e.1 = i as u32;
                 }
@@ -289,7 +290,7 @@ pub struct RegisterReport {
 /// Dependence edges approximate register uses: every consumer of a
 /// value-producing node counts as a use (write-after-read memory edges
 /// slightly over-extend lifetimes; the approximation is conservative).
-pub fn register_pressure(trace: &Trace, regs: usize) -> RegisterReport {
+pub fn register_pressure(func: &crate::Function, trace: &Trace, regs: usize) -> RegisterReport {
     assert!(regs > 0, "need at least one register");
     let n = trace.len();
     // Last consumer of each node, in schedule order.
@@ -299,7 +300,8 @@ pub fn register_pressure(trace: &Trace, regs: usize) -> RegisterReport {
             last_use[d.index()] = last_use[d.index()].max(i as u32);
         }
     }
-    let produces = |i: usize| trace.nodes()[i].op.fixed_result() != Some(None);
+    let insts = trace.insts();
+    let produces = |i: usize| func.inst(insts[i]).op.fixed_result() != Some(None);
     let mut report = RegisterReport {
         regs,
         ..RegisterReport::default()
@@ -345,8 +347,8 @@ pub fn accesses_by_array_kind(
     trace: &Trace,
 ) -> HashMap<crate::ArrayKind, u64> {
     let mut m = HashMap::new();
-    for n in trace.nodes() {
-        if let Op::Load(a) | Op::Store(a) = n.op {
+    for &inst in trace.insts() {
+        if let Op::Load(a) | Op::Store(a) = func.inst(inst).op {
             *m.entry(func.array(a).kind).or_insert(0) += 1;
         }
     }
@@ -479,7 +481,7 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let t = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let chain = register_pressure(&t, 4);
+        let chain = register_pressure(&f, &t, 4);
         assert!(chain.max_live <= 2, "{chain:?}");
         assert_eq!(chain.spills, 0);
 
@@ -495,10 +497,10 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let t = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let wide = register_pressure(&t, 4);
+        let wide = register_pressure(&f, &t, 4);
         assert!(wide.max_live >= 7, "{wide:?}");
         assert!(wide.spills > 0, "a 4-register file must spill: {wide:?}");
-        let roomy = register_pressure(&t, 16);
+        let roomy = register_pressure(&f, &t, 16);
         assert_eq!(roomy.spills, 0);
     }
 

@@ -75,5 +75,5 @@ pub use function::{
 pub use ids::{ArrayId, InstId, LoopId, NodeId, TapeGroupId, ValueId};
 pub use memory::Memory;
 pub use ops::{CmpKind, Op, OpClass};
-pub use trace::{Phase, Trace, TraceNode};
+pub use trace::{NodeColumns, Phase, Trace};
 pub use types::{Const, Scalar};

@@ -17,21 +17,27 @@
 //!
 //! # Representation
 //!
-//! Dependences stream into one flat predecessor CSR: node `i`'s sorted,
-//! deduplicated predecessors are `dep_dat[dep_off[i]..dep_off[i + 1]]`,
-//! read through [`Trace::deps`]. Nothing is allocated per node; one
-//! reused scratch buffer collects each node's dependences before they
-//! are appended. Per-word memory state sits in two dense tables — DRAM
-//! words indexed by `(addr − DRAM_BASE) / 8`, scratchpad entries by
-//! entry — each slot holding the word's last writer and the head of its
-//! list of readers since. All reader lists share one `(node, next)` arena
-//! whose cells a write hands back for reuse.
+//! Per-node metadata is stored as columns, each filled by a plain push.
+//! The columns the simulator reads (class, flags, address, bytes) form
+//! one [`NodeColumns`] block behind an `Arc`, which the simulator's arena
+//! shares instead of copying; the instruction and layer columns sit
+//! beside it. Dependences stream into one flat predecessor CSR: node
+//! `i`'s sorted, deduplicated predecessors are
+//! `dep_dat[dep_off[i]..dep_off[i + 1]]`, read through [`Trace::deps`].
+//! Nothing is allocated per node; one reused scratch buffer collects
+//! each node's dependences before they are appended. Per-word memory
+//! state sits in two dense tables — DRAM words indexed by
+//! `(addr − DRAM_BASE) / 8`, scratchpad entries by entry — each slot
+//! holding the word's last writer and the head of its list of readers
+//! since. All reader lists share one `(node, next)` arena whose cells a
+//! write hands back for reuse.
 
 use crate::function::Function;
 use crate::ids::{InstId, NodeId};
 use crate::interp::{execute, spad_entries, ExecError, ExecHook, MemEffect};
 use crate::memory::{Memory, DRAM_BASE};
 use crate::ops::{Op, OpClass};
+use std::sync::Arc;
 
 /// Which half of the gradient program a node belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,34 +56,68 @@ pub const NO_LAYER: u32 = u32::MAX;
 /// offsets, which share this bound).
 pub const EDGE_LIMIT: usize = u32::MAX as usize;
 
-/// One dynamic instruction instance in the DDG. Its dependences live in
-/// the trace's CSR: see [`Trace::deps`].
-#[derive(Clone, Copy, Debug)]
-pub struct TraceNode {
-    /// The static instruction this instance came from.
-    pub inst: InstId,
-    /// The opcode (copied for cheap access).
-    pub op: Op,
-    /// FWD or REV phase.
-    pub phase: Phase,
-    /// Layer index, or [`NO_LAYER`].
-    pub layer: u32,
-    /// Byte address for DRAM accesses, entry index for scratchpad
-    /// accesses, start byte address for streams; 0 otherwise.
-    pub addr: u64,
-    /// Bytes moved by the node (8 for scalar accesses, `8 × elems` for
-    /// streams, 0 for compute).
-    pub bytes: u32,
-    /// True when the node is a tape access (tape-array load/store, any
-    /// scratchpad access, or a stream command).
-    pub is_tape: bool,
+/// Node flag: a tape access (tape-array load/store, any scratchpad
+/// access, or a stream command).
+pub const FLAG_TAPE: u8 = 1 << 0;
+/// Node flag: the node belongs to the reverse phase.
+pub const FLAG_REV: u8 = 1 << 1;
+/// Node flag: a stream command that moves data inward (`StreamIn` or
+/// `StreamInC`, stream engine 1).
+pub const FLAG_STREAM_IN: u8 = 1 << 2;
+
+/// The per-node columns a simulator arena reads, indexed by node id and
+/// all of the trace's length. A [`Trace`] holds them behind an [`Arc`]
+/// so an arena built from it shares them instead of copying them (see
+/// [`Trace::columns`]).
+#[derive(Clone, Debug, Default)]
+pub struct NodeColumns {
+    class: Vec<OpClass>,
+    flags: Vec<u8>,
+    addr: Vec<u64>,
+    bytes: Vec<u32>,
 }
 
-impl TraceNode {
-    /// Scheduling class of the node.
+impl NodeColumns {
+    /// Scheduling class per node.
     #[inline]
-    pub fn class(&self) -> OpClass {
-        self.op.class()
+    pub fn class(&self) -> &[OpClass] {
+        &self.class
+    }
+
+    /// `FLAG_*` bits per node.
+    #[inline]
+    pub fn flags(&self) -> &[u8] {
+        &self.flags
+    }
+
+    /// Byte address for DRAM accesses, entry index for scratchpad
+    /// accesses, start byte address for streams; 0 otherwise.
+    #[inline]
+    pub fn addr(&self) -> &[u64] {
+        &self.addr
+    }
+
+    /// Bytes moved per node (8 for scalar accesses, the transfer size for
+    /// streams, 0 for compute).
+    #[inline]
+    pub fn bytes(&self) -> &[u32] {
+        &self.bytes
+    }
+
+    /// Whether node `i` is a tape access.
+    #[inline]
+    pub fn is_tape(&self, i: usize) -> bool {
+        self.flags[i] & FLAG_TAPE != 0
+    }
+
+    /// The phase node `i` belongs to.
+    #[inline]
+    pub fn phase(&self, i: usize) -> Phase {
+        if self.flags[i] & FLAG_REV != 0 {
+            Phase::Rev
+        } else {
+            Phase::Fwd
+        }
     }
 }
 
@@ -86,7 +126,11 @@ impl TraceNode {
 pub struct Trace {
     /// Name of the traced function.
     pub name: String,
-    nodes: Vec<TraceNode>,
+    cols: Arc<NodeColumns>,
+    /// The static instruction each node executed.
+    insts: Vec<InstId>,
+    /// Layer index per node, or [`NO_LAYER`].
+    layers: Vec<u32>,
     /// CSR offsets into `dep_dat` (`len() + 1` entries).
     dep_off: Vec<u32>,
     /// Every node's predecessors, concatenated in node order.
@@ -95,16 +139,23 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// All nodes in execution order (a valid topological order).
+    /// The class, flag, address and byte columns, in execution order (a
+    /// valid topological order).
     #[inline]
-    pub fn nodes(&self) -> &[TraceNode] {
-        &self.nodes
+    pub fn columns(&self) -> &Arc<NodeColumns> {
+        &self.cols
     }
 
-    /// Node lookup.
+    /// The static instruction behind each node.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &TraceNode {
-        &self.nodes[id.index()]
+    pub fn insts(&self) -> &[InstId] {
+        &self.insts
+    }
+
+    /// Each node's layer index, or [`NO_LAYER`].
+    #[inline]
+    pub fn layers(&self) -> &[u32] {
+        &self.layers
     }
 
     /// The nodes `id` must wait for, in increasing id order.
@@ -117,13 +168,13 @@ impl Trace {
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.insts.len()
     }
 
     /// True when the trace recorded nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.insts.is_empty()
     }
 
     /// Number of layers (SAlloc count); 0 for unlayered programs.
@@ -227,7 +278,9 @@ fn dram_word(addr: u64) -> usize {
 }
 
 struct Tracer {
-    nodes: Vec<TraceNode>,
+    cols: NodeColumns,
+    insts: Vec<InstId>,
+    layers: Vec<u32>,
     dep_off: Vec<u32>,
     dep_dat: Vec<NodeId>,
     /// Dependences of the node being traced (reused for every node).
@@ -247,7 +300,9 @@ struct Tracer {
 impl Tracer {
     fn new(func: &Function, mem: &Memory, opts: TraceOptions) -> Self {
         Tracer {
-            nodes: Vec::new(),
+            cols: NodeColumns::default(),
+            insts: Vec::new(),
+            layers: Vec::new(),
             dep_off: vec![0],
             dep_dat: Vec::new(),
             deps: Vec::new(),
@@ -272,10 +327,10 @@ impl ExecHook for Tracer {
     fn on_inst(&mut self, inst: InstId, func: &Function, effect: &MemEffect) {
         // Node ids stay below `NIL`, which marks "no node" in the links.
         assert!(
-            self.nodes.len() < NIL as usize,
+            self.insts.len() < NIL as usize,
             "trace node ids overflow u32"
         );
-        let me = NodeId(self.nodes.len() as u32);
+        let me = NodeId(self.insts.len() as u32);
         let decl = func.inst(inst);
         if self.phase_barrier == Some(inst) {
             self.phase = Phase::Rev;
@@ -401,15 +456,17 @@ impl ExecHook for Tracer {
         if !is_stream && !matches!(decl.op, Op::Barrier) {
             self.since_barrier.push(me);
         }
-        self.nodes.push(TraceNode {
-            inst,
-            op: decl.op,
-            phase: self.phase,
-            layer: self.layer,
-            addr,
-            bytes,
-            is_tape,
-        });
+        let mut flags = FLAG_TAPE * u8::from(is_tape);
+        flags |= FLAG_REV * u8::from(self.phase == Phase::Rev);
+        flags |=
+            FLAG_STREAM_IN * u8::from(matches!(decl.op, Op::StreamIn(_) | Op::StreamInC { .. }));
+        let cols = &mut self.cols;
+        cols.class.push(decl.op.class());
+        cols.flags.push(flags);
+        cols.addr.push(addr);
+        cols.bytes.push(bytes);
+        self.insts.push(inst);
+        self.layers.push(self.layer);
     }
 }
 
@@ -440,11 +497,20 @@ pub fn trace_function(
     opts: TraceOptions,
 ) -> Result<Trace, ExecError> {
     let tracer = Tracer::new(func, mem, opts);
-    let (tracer, _count) = execute(func, mem, tracer)?;
+    let (mut tracer, _count) = execute(func, mem, tracer)?;
     check_edges(tracer.dep_dat.len())?;
+    // An arena sharing the columns may outlive the trace; keep no
+    // growth slack alive with them.
+    let cols = &mut tracer.cols;
+    cols.class.shrink_to_fit();
+    cols.flags.shrink_to_fit();
+    cols.addr.shrink_to_fit();
+    cols.bytes.shrink_to_fit();
     Ok(Trace {
         name: func.name.clone(),
-        nodes: tracer.nodes,
+        cols: Arc::new(tracer.cols),
+        insts: tracer.insts,
+        layers: tracer.layers,
         dep_off: tracer.dep_off,
         dep_dat: tracer.dep_dat,
         layer_count: tracer.layer_count,
@@ -510,8 +576,7 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let t = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         // Nodes: load, fadd, store, load, fadd.
-        let n = t.nodes();
-        assert!(matches!(n[3].op, Op::Load(_)));
+        assert!(matches!(f.inst(t.insts()[3]).op, Op::Load(_)));
         assert!(
             t.deps(NodeId::new(3)).contains(&NodeId::new(2)),
             "RAW through cell"
@@ -541,8 +606,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(t.nodes()[0].phase, Phase::Fwd);
-        assert_eq!(t.nodes()[2].phase, Phase::Rev);
+        assert_eq!(t.columns().phase(0), Phase::Fwd);
+        assert_eq!(t.columns().phase(2), Phase::Rev);
         // Post-barrier compute depends on the barrier; the barrier depends
         // on everything before it.
         assert!(t.deps(NodeId::new(2)).contains(&NodeId::new(1)));
@@ -574,12 +639,13 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let t = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let sn = t
-            .nodes()
+            .insts()
             .iter()
-            .find(|n| matches!(n.op, Op::StreamOutC { .. }))
+            .position(|&i| matches!(f.inst(i).op, Op::StreamOutC { .. }))
             .unwrap();
-        assert_eq!(sn.bytes, 12);
-        assert!(sn.is_tape);
+        assert_eq!(t.columns().bytes()[sn], 12);
+        assert!(t.columns().is_tape(sn));
+        assert_eq!(t.columns().class()[sn], OpClass::Stream);
     }
 
     #[test]
@@ -594,7 +660,7 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let t = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let tape_nodes = t.nodes().iter().filter(|n| n.is_tape).count();
+        let tape_nodes = (0..t.len()).filter(|&i| t.columns().is_tape(i)).count();
         assert_eq!(tape_nodes, 4);
     }
 

@@ -1,24 +1,25 @@
 //! The cycle-level dataflow scheduler (event-driven core).
 //!
-//! Executes a [`Trace`] (dynamic dataflow graph) against the modelled
-//! datapath: every node issues once its dependences complete and its
-//! resource (FPU slots, integer slots, cache ports, scratchpad banks,
-//! stream engines) is free that cycle. DRAM is a shared bandwidth server
-//! used by cache fills, write-backs and stream transfers; stream engines
-//! run decoupled from the compute barriers, which is what lets
-//! double-buffered layers overlap streaming with the adjacent layer's
-//! compute exactly as in the paper's §3.5.
+//! Executes a [`tapeflow_ir::Trace`] (dynamic dataflow graph) against
+//! the modelled datapath: every node issues once its dependences
+//! complete and its resource (FPU slots, integer slots, cache ports,
+//! scratchpad banks, stream engines) is free that cycle. DRAM is a
+//! shared bandwidth server used by cache fills, write-backs and stream
+//! transfers; stream engines run decoupled from the compute barriers,
+//! which is what lets double-buffered layers overlap streaming with the
+//! adjacent layer's compute exactly as in the paper's §3.5.
 //!
 //! ## Host-throughput architecture
 //!
-//! The scheduler runs off a [`PreparedSim`] arena — a config-independent
-//! struct-of-arrays flattening of the trace (dependence CSR, fused
-//! ready/indegree state, per-node class/address/flags) built once and
-//! reused across an entire parameter sweep. The hot loop reads only that
-//! arena, keeps a single reusable conflict scratch buffer instead of a
-//! per-cycle allocation, and **gap-skips**: whenever nothing can issue
-//! before the next engine-free or node-ready boundary, time jumps
-//! straight there instead of crawling cycle by cycle.
+//! The scheduler runs off a [`PreparedSim`] arena — config-independent
+//! and built once per trace: the trace's own per-node class, flag,
+//! address and byte columns (shared, not copied), plus the successor
+//! CSR and fused ready/indegree state — reused across an entire
+//! parameter sweep. The hot loop reads only that arena, keeps a single
+//! reusable conflict scratch buffer instead of a per-cycle allocation,
+//! and **gap-skips**: whenever nothing can issue before the next
+//! engine-free or node-ready boundary, time jumps straight there
+//! instead of crawling cycle by cycle.
 //!
 //! On top of that, unprobed runs (statically known via
 //! [`SimProbe::IS_NOOP`]) serve the in-order FP and integer issue queues
@@ -48,12 +49,12 @@
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};
-use crate::error::SimError;
-use crate::prep::{NodeState, PreparedSim, FLAG_REV, FLAG_STREAM_IN, FLAG_TAPE};
+use crate::prep::{NodeState, PreparedSim};
 use crate::probe::{CacheAccessEvent, NoProbe, ProbeGeometry, SimProbe};
 use crate::report::{EnergyReport, SimReport};
 use std::collections::{BinaryHeap, VecDeque};
-use tapeflow_ir::{OpClass, Trace};
+use tapeflow_ir::trace::{FLAG_REV, FLAG_STREAM_IN, FLAG_TAPE};
+use tapeflow_ir::OpClass;
 
 /// Simulation options.
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,37 +96,18 @@ impl Dram {
     }
 }
 
-/// Simulates `trace` on `cfg`. Fails with [`SimError`] when the trace
-/// exceeds the scheduler's 32-bit index limits.
-pub fn simulate(
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> Result<SimReport, SimError> {
-    simulate_probed(trace, cfg, opts, &mut NoProbe)
-}
-
-/// Simulates `trace` on `cfg`, reporting every issue, stall and
-/// completion to `probe` (see [`crate::probe`]). With [`NoProbe`] this
-/// monomorphizes to the unprobed hot loop, which is what [`simulate`]
-/// calls — observability costs nothing unless a probe asks for it.
-pub fn simulate_probed<P: SimProbe>(
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-    probe: &mut P,
-) -> Result<SimReport, SimError> {
-    let prep = PreparedSim::new(trace)?;
-    Ok(simulate_prepared_probed(&prep, cfg, opts, probe))
-}
-
-/// Simulates a [`PreparedSim`] arena on `cfg` — the sweep entry point:
-/// prepare once, simulate every configuration.
+/// Simulates a [`PreparedSim`] arena on `cfg`: prepare once with
+/// [`PreparedSim::new`] (which fails with [`crate::SimError`] when the
+/// trace exceeds the scheduler's 32-bit index limits), then simulate
+/// every configuration.
 pub fn simulate_prepared(prep: &PreparedSim, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
     simulate_prepared_probed(prep, cfg, opts, &mut NoProbe)
 }
 
-/// Probed variant of [`simulate_prepared`].
+/// [`simulate_prepared`], reporting every issue, stall and completion to
+/// `probe` (see [`crate::probe`]). With [`NoProbe`] this monomorphizes
+/// to the unprobed hot loop, which is what [`simulate_prepared`] calls —
+/// observability costs nothing unless a probe asks for it.
 pub fn simulate_prepared_probed<P: SimProbe>(
     prep: &PreparedSim,
     cfg: &SystemConfig,
@@ -349,10 +331,10 @@ fn core_loop<P: SimProbe, const REC: bool>(
     probe: &mut P,
 ) {
     let n = prep.n;
-    let class = &prep.class[..n];
-    let flags = &prep.flags[..n];
-    let addr = &prep.addr[..n];
-    let nbytes = &prep.bytes[..n];
+    let class = &prep.cols.class()[..n];
+    let flags = &prep.cols.flags()[..n];
+    let addr = &prep.cols.addr()[..n];
+    let nbytes = &prep.cols.bytes()[..n];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
 
@@ -1120,9 +1102,9 @@ fn dataflow_loop<const REC: bool>(
     rec: &mut Recording,
 ) {
     let n = prep.n;
-    let class = &prep.class[..n];
-    let flags = &prep.flags[..n];
-    let addr = &prep.addr[..n];
+    let class = &prep.cols.class()[..n];
+    let flags = &prep.cols.flags()[..n];
+    let addr = &prep.cols.addr()[..n];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
     let line_bytes = cache.config().line_bytes as u64;
@@ -1303,7 +1285,12 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use tapeflow_ir::trace::{trace_function, TraceOptions};
-    use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar};
+    use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar, Trace};
+
+    /// Prepares `trace` and simulates it on `cfg`.
+    fn sim_trace(trace: &Trace, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
+        simulate_prepared(&PreparedSim::new(trace).unwrap(), cfg, opts)
+    }
 
     fn trace_of(build: impl FnOnce(&mut FunctionBuilder)) -> Trace {
         let mut b = FunctionBuilder::new("t");
@@ -1314,7 +1301,7 @@ mod tests {
     }
 
     fn sim_of(build: impl FnOnce(&mut FunctionBuilder), cfg: &SystemConfig) -> SimReport {
-        simulate(&trace_of(build), cfg, &SimOptions::default()).unwrap()
+        sim_trace(&trace_of(build), cfg, &SimOptions::default())
     }
 
     #[test]
@@ -1467,7 +1454,7 @@ mod tests {
             },
         )
         .unwrap();
-        let r = simulate(&trace, &SystemConfig::default(), &SimOptions::default()).unwrap();
+        let r = sim_trace(&trace, &SystemConfig::default(), &SimOptions::default());
         assert!(r.fwd_cycles > 0);
         assert!(r.fwd_cycles < r.cycles);
         assert_eq!(r.rev_cycles(), r.cycles - r.fwd_cycles);
@@ -1511,14 +1498,13 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let r = simulate(
+        let r = sim_trace(
             &trace,
             &SystemConfig::default(),
             &SimOptions {
                 record_node_times: true,
             },
-        )
-        .unwrap();
+        );
         let times = r.node_finish.unwrap();
         assert_eq!(times.len(), trace.len());
         assert!(times.iter().all(|&t| t > 0));
@@ -1526,7 +1512,7 @@ mod tests {
 
     #[test]
     fn prepared_arena_reuses_across_configs() {
-        // One arena, many configs: results match fresh simulations.
+        // One arena, many configs: results match a fresh arena per config.
         let trace = trace_of(|b| {
             let x = b.array("x", 64, ArrayKind::Input, Scalar::F64);
             b.for_loop("i", 0, 64, |b, i| {
@@ -1538,7 +1524,7 @@ mod tests {
         for bytes in [1024, 2048, 32768] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let from_arena = simulate_prepared(&prep, &cfg, &SimOptions::default());
-            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+            let fresh = sim_trace(&trace, &cfg, &SimOptions::default());
             assert_eq!(from_arena.cycles, fresh.cycles);
             assert_eq!(from_arena.cache, fresh.cache);
             assert_eq!(from_arena.to_json().render(), fresh.to_json().render());
@@ -1565,7 +1551,7 @@ mod tests {
             }
         });
         let opts = SimOptions::default();
-        let new = simulate(&trace, &cfg, &opts).unwrap();
+        let new = sim_trace(&trace, &cfg, &opts);
         let old = crate::legacy::simulate_probed(&trace, &cfg, &opts, &mut NoProbe).unwrap();
         assert_eq!(new.cycles, old.cycles);
         assert_eq!(new.stream_cmds, old.stream_cmds);
@@ -1614,10 +1600,11 @@ mod tests {
             let trace = trace_of(&*build);
             for bytes in [1024, 32768] {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
-                let fast = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+                let prep = PreparedSim::new(&trace).unwrap();
+                let fast = simulate_prepared(&prep, &cfg, &SimOptions::default());
                 let mut probe = AttributionProbe::default();
                 let exact =
-                    simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
+                    simulate_prepared_probed(&prep, &cfg, &SimOptions::default(), &mut probe);
                 assert_eq!(
                     fast.to_json().render(),
                     exact.to_json().render(),

@@ -25,7 +25,7 @@
 //! ```rust
 //! use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar};
 //! use tapeflow_ir::trace::{trace_function, TraceOptions};
-//! use tapeflow_sim::{simulate, SimOptions, SystemConfig};
+//! use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 //!
 //! let mut b = FunctionBuilder::new("axpy");
 //! let x = b.array("x", 64, ArrayKind::Input, Scalar::F64);
@@ -42,7 +42,8 @@
 //! let mut mem = Memory::for_function(&f);
 //! let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
 //! let cfg = SystemConfig::with_cache_bytes(1024);
-//! let report = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+//! let prep = PreparedSim::new(&trace).unwrap();
+//! let report = simulate_prepared(&prep, &cfg, &SimOptions::default());
 //! assert!(report.cycles > 0);
 //! assert_eq!(report.cache.accesses(), 192); // 128 loads + 64 stores
 //! ```
@@ -74,9 +75,7 @@ pub use cache::{Cache, ReplacementPolicy};
 pub use config::{
     CacheConfig, ClassPrints, DramConfig, EnergyTable, PeConfig, SpadConfig, SystemConfig,
 };
-pub use engine::{
-    simulate, simulate_prepared, simulate_prepared_probed, simulate_probed, SimOptions,
-};
+pub use engine::{simulate_prepared, simulate_prepared_probed, SimOptions};
 pub use error::SimError;
 pub use prep::PreparedSim;
 pub use probe::{

@@ -1,27 +1,23 @@
 //! Config-independent simulation arena.
 //!
-//! Everything the scheduler needs from a [`Trace`] that does not depend
-//! on the [`crate::SystemConfig`] is flattened here once: the successor
-//! CSR (the trace's flat predecessor CSR, transposed in two linear
-//! passes), initial indegrees (read off the predecessor offsets), root
-//! set, and a struct-of-arrays copy of the per-node scheduling metadata
-//! (class, address, byte count, flags). The hot loop then never touches
-//! the trace's 40-byte node structs, and a parameter sweep that only
-//! perturbs cache/scratchpad/DRAM settings re-simulates from this shared
-//! prefix instead of rebuilding it per configuration (the bench harness
-//! keys the arena by program and the simulation result by the
-//! `SystemConfig::fingerprint` memo).
+//! A [`PreparedSim`] pairs the trace's per-node column block (class,
+//! flags, address, bytes: [`NodeColumns`]), shared through one `Arc`
+//! rather than copied, with what the scheduler derives from the graph's
+//! shape: the successor CSR (the trace's flat predecessor CSR,
+//! transposed in two linear passes), initial indegrees (read off the
+//! predecessor offsets), the root set, the phase-barrier index and the
+//! per-class presence bits. None of it depends on the
+//! [`crate::SystemConfig`], so a parameter sweep that only perturbs
+//! cache/scratchpad/DRAM settings re-simulates from this shared prefix
+//! instead of rebuilding it per configuration (the bench harness keys
+//! the arena by program and the simulation result by the
+//! `SystemConfig::fingerprint` memo). The arena keeps the column block
+//! alive on its own, so it may outlive the trace it was built from.
 
 use crate::error::SimError;
-use tapeflow_ir::trace::{Phase, EDGE_LIMIT};
-use tapeflow_ir::{NodeId, Op, OpClass, Trace};
-
-/// Node flag: access targets a tape array.
-pub(crate) const FLAG_TAPE: u8 = 1 << 0;
-/// Node flag: node belongs to the reverse phase.
-pub(crate) const FLAG_REV: u8 = 1 << 1;
-/// Node flag: stream command moves data inward (`StreamIn`, engine 1).
-pub(crate) const FLAG_STREAM_IN: u8 = 1 << 2;
+use std::sync::Arc;
+use tapeflow_ir::trace::{NodeColumns, EDGE_LIMIT, FLAG_REV};
+use tapeflow_ir::{NodeId, OpClass, Trace};
 
 /// Per-node mutable scheduling state, fused into one 16-byte entry so the
 /// completion walk touches a single cache line per successor (the old
@@ -37,22 +33,17 @@ pub(crate) struct NodeState {
     pub(crate) indeg: u32,
 }
 
-/// A [`Trace`] preprocessed for simulation: dependence CSR plus
-/// struct-of-arrays node metadata, independent of any `SystemConfig`.
+/// A [`Trace`] preprocessed for simulation: the trace's shared node
+/// columns plus the dependence CSR, independent of any `SystemConfig`.
 ///
 /// Build once with [`PreparedSim::new`], then run any number of
 /// configurations through [`crate::engine::simulate_prepared`].
 #[derive(Clone, Debug)]
 pub struct PreparedSim {
     pub(crate) n: usize,
-    /// Scheduling class per node.
-    pub(crate) class: Vec<OpClass>,
-    /// `FLAG_*` bits per node.
-    pub(crate) flags: Vec<u8>,
-    /// Byte address per node (scratchpad entries carry the spad-space bit).
-    pub(crate) addr: Vec<u64>,
-    /// Transfer size per node (stream commands).
-    pub(crate) bytes: Vec<u32>,
+    /// The trace's class, flag, address and byte columns (scratchpad
+    /// accesses carry their entry index as the address).
+    pub(crate) cols: Arc<NodeColumns>,
     /// Initial scheduling state per node (`ready = 0`, indegree from the
     /// trace) — the template each simulation run clones.
     pub(crate) pend0: Vec<NodeState>,
@@ -104,42 +95,30 @@ impl PreparedSim {
         Ok(())
     }
 
-    /// Flattens `trace` into the arena. Fails (instead of silently
-    /// truncating ids) when the trace exceeds the 32-bit index limits.
+    /// Builds the arena over `trace`'s shared columns. Fails (instead of
+    /// silently truncating ids) when the trace exceeds the 32-bit index
+    /// limits.
     pub fn new(trace: &Trace) -> Result<Self, SimError> {
         let n = trace.len();
         Self::check_limits(n, trace.edge_count())?;
+        let cols = Arc::clone(trace.columns());
 
-        let mut class = Vec::with_capacity(n);
-        let mut flags = Vec::with_capacity(n);
-        let mut addr = Vec::with_capacity(n);
-        let mut bytes = Vec::with_capacity(n);
+        let mut has_spad = false;
+        let mut has_stream = false;
+        let mut n_mem = 0usize;
+        for c in cols.class() {
+            has_spad |= matches!(c, OpClass::SpadLoad | OpClass::SpadStore);
+            has_stream |= matches!(c, OpClass::Stream);
+            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
+        }
+        let phase_barrier_idx = cols.flags().iter().position(|f| f & FLAG_REV != 0);
+
         let mut pend0 = Vec::with_capacity(n);
         let mut roots = Vec::new();
         // Successor counts land one slot up (`succ_off[d + 1]`), so the
         // prefix sum below leaves each node's start in `succ_off[d]`.
         let mut succ_off = vec![0u32; n + 1];
-        let mut phase_barrier_idx = None;
-        let mut has_spad = false;
-        let mut has_stream = false;
-        let mut n_mem = 0usize;
-        for (i, node) in trace.nodes().iter().enumerate() {
-            let c = node.class();
-            has_spad |= matches!(c, OpClass::SpadLoad | OpClass::SpadStore);
-            has_stream |= matches!(c, OpClass::Stream);
-            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
-            class.push(c);
-            let mut f = 0u8;
-            f |= FLAG_TAPE * u8::from(node.is_tape);
-            f |= FLAG_REV * u8::from(node.phase == Phase::Rev);
-            f |= FLAG_STREAM_IN
-                * u8::from(matches!(node.op, Op::StreamIn(_) | Op::StreamInC { .. }));
-            flags.push(f);
-            addr.push(node.addr);
-            bytes.push(node.bytes);
-            if phase_barrier_idx.is_none() && node.phase == Phase::Rev {
-                phase_barrier_idx = Some(i);
-            }
+        for i in 0..n {
             let deps = trace.deps(NodeId::new(i));
             if deps.is_empty() {
                 roots.push(i as u32);
@@ -172,10 +151,7 @@ impl PreparedSim {
 
         Ok(PreparedSim {
             n,
-            class,
-            flags,
-            addr,
-            bytes,
+            cols,
             pend0,
             succ_off,
             succ_dat,
@@ -189,7 +165,7 @@ impl PreparedSim {
 
     /// Whether any node touches the scratchpad or a stream engine. When
     /// none do, the engine's pure event loop applies (no per-cycle
-    /// iteration; see `engine::run_dataflow`).
+    /// iteration; see `engine::dataflow_loop`).
     pub(crate) fn spad_or_stream(&self) -> bool {
         self.has_spad || self.has_stream
     }
@@ -203,23 +179,16 @@ impl PreparedSim {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
-
-    /// Approximate heap footprint in bytes (for capacity planning).
-    pub fn arena_bytes(&self) -> usize {
-        self.class.len() * std::mem::size_of::<OpClass>()
-            + self.flags.len()
-            + self.addr.len() * 8
-            + self.bytes.len() * 4
-            + self.pend0.len() * std::mem::size_of::<NodeState>()
-            + (self.succ_off.len() + self.succ_dat.len() + self.roots.len()) * 4
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tapeflow_ir::trace::{trace_function, TraceOptions};
-    use tapeflow_ir::{ArrayKind, Const, Function, FunctionBuilder, Memory, Scalar, Stmt, ValueId};
+    use crate::{simulate_prepared, SimOptions, SystemConfig};
+    use tapeflow_ir::trace::{trace_function, Phase, TraceOptions, FLAG_STREAM_IN, FLAG_TAPE};
+    use tapeflow_ir::{
+        ArrayKind, Const, Function, FunctionBuilder, InstId, Memory, Op, Scalar, Stmt, ValueId,
+    };
 
     #[test]
     fn limits_reject_oversized_counts_without_building() {
@@ -239,23 +208,21 @@ mod tests {
         ));
     }
 
-    /// Checks the arena against the trace it was built from: per-node
-    /// metadata, indegrees, the transposed CSR, roots and phase barrier.
+    /// Checks the arena against the trace it was built from: shared
+    /// columns, indegrees, the transposed CSR, roots and phase barrier.
     fn check_arena(trace: &Trace) -> PreparedSim {
         let prep = PreparedSim::new(trace).unwrap();
         let n = trace.len();
         assert_eq!(prep.len(), n);
+        assert!(Arc::ptr_eq(&prep.cols, trace.columns()));
         assert_eq!(prep.succ_off.len(), n + 1);
         assert_eq!(prep.succ_off[n] as usize, trace.edge_count());
         assert_eq!(prep.succ_dat.len(), trace.edge_count());
         let succs =
             |d: usize| &prep.succ_dat[prep.succ_off[d] as usize..prep.succ_off[d + 1] as usize];
-        for (i, node) in trace.nodes().iter().enumerate() {
+        for i in 0..n {
             let deps = trace.deps(NodeId::new(i));
             assert_eq!(prep.pend0[i].indeg as usize, deps.len(), "node {i}");
-            assert_eq!(prep.class[i], node.class());
-            assert_eq!(prep.addr[i], node.addr);
-            assert_eq!(prep.bytes[i], node.bytes);
             // Every predecessor edge appears exactly once as a successor;
             // with equal totals, the successor lists hold nothing else.
             for d in deps {
@@ -270,9 +237,8 @@ mod tests {
             .filter(|&i| trace.deps(NodeId::new(i as usize)).is_empty())
             .collect();
         assert_eq!(prep.roots, roots);
-        let first_rev = trace.nodes().iter().position(|n| n.phase == Phase::Rev);
+        let first_rev = (0..n).find(|&i| trace.columns().phase(i) == Phase::Rev);
         assert_eq!(prep.phase_barrier_idx, first_rev);
-        assert!(prep.arena_bytes() > 0);
         prep
     }
 
@@ -291,11 +257,10 @@ mod tests {
         assert_eq!(prep.phase_barrier_idx, None);
     }
 
-    #[test]
-    fn arena_mirrors_a_stream_spad_barrier_trace() {
-        // FWD fills a scratchpad buffer and streams it out to the tape;
-        // REV, after the phase barrier, streams it back into a second
-        // buffer and reads it.
+    /// FWD fills a scratchpad buffer and streams it out to the tape;
+    /// REV, after the phase barrier, streams it back into a second
+    /// buffer and reads it. Returns the trace and the barrier.
+    fn stream_spad_barrier_trace() -> (Trace, InstId) {
         let mut f = Function::new("s");
         let tape = f.add_array("T", 2, ArrayKind::Tape, Scalar::F64);
         let out = f.add_array("o", 1, ArrayKind::Output, Scalar::F64);
@@ -333,11 +298,47 @@ mod tests {
         };
         let trace = trace_function(&f, &mut mem, opts).unwrap();
         assert_eq!(mem.get_f64(out), [-1.5]);
+        (trace, bar)
+    }
+
+    #[test]
+    fn arena_mirrors_a_stream_spad_barrier_trace() {
+        let (trace, bar) = stream_spad_barrier_trace();
         let prep = check_arena(&trace);
         assert!(prep.has_spad && prep.has_stream);
         assert_eq!(trace.layer_count(), 2);
+        assert_eq!(trace.layers(), [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
         // The barrier is the first REV node.
         assert_eq!(prep.phase_barrier_idx, Some(5));
-        assert_eq!(trace.nodes()[5].inst, bar);
+        assert_eq!(trace.insts()[5], bar);
+        // Scratchpad accesses and streams are tape accesses; only the
+        // `StreamIn` at node 7 runs on the inward engine.
+        let flags = &prep.cols.flags();
+        let tape: Vec<usize> = (0..prep.len())
+            .filter(|&i| flags[i] & FLAG_TAPE != 0)
+            .collect();
+        assert_eq!(tape, [2, 3, 4, 7, 8]);
+        let inward: Vec<usize> = (0..prep.len())
+            .filter(|&i| flags[i] & FLAG_STREAM_IN != 0)
+            .collect();
+        assert_eq!(inward, [7]);
+    }
+
+    #[test]
+    fn arena_shares_the_trace_columns_and_outlives_the_trace() {
+        let (trace, _) = stream_spad_barrier_trace();
+        let prep = PreparedSim::new(&trace).unwrap();
+        // Shared, not copied: one block, the same column buffers.
+        assert!(Arc::ptr_eq(&prep.cols, trace.columns()));
+        assert_eq!(prep.cols.addr().as_ptr(), trace.columns().addr().as_ptr());
+        let opts = SimOptions {
+            record_node_times: true,
+        };
+        let cfg = SystemConfig::default();
+        let before = simulate_prepared(&prep, &cfg, &opts).to_json().render();
+        drop(trace);
+        assert_eq!(Arc::strong_count(&prep.cols), 1, "the arena owns the block");
+        let after = simulate_prepared(&prep, &cfg, &opts).to_json().render();
+        assert_eq!(before, after);
     }
 }

@@ -1,10 +1,11 @@
 //! Cycle-attribution probes: the simulator's observability layer.
 //!
-//! [`crate::engine::simulate_probed`] is generic over a [`SimProbe`] and
-//! calls a hook at every issue, stall and completion site. Every hook has
-//! an empty `#[inline]` default body, so the probe-less entry point
-//! ([`crate::simulate`], which passes [`NoProbe`]) monomorphizes to the
-//! exact pre-probe hot loop — observability is zero-cost when off.
+//! [`crate::engine::simulate_prepared_probed`] is generic over a
+//! [`SimProbe`] and calls a hook at every issue, stall and completion
+//! site. Every hook has an empty `#[inline]` default body, so the
+//! probe-less entry point ([`crate::simulate_prepared`], which passes
+//! [`NoProbe`]) monomorphizes to the exact pre-probe hot loop —
+//! observability is zero-cost when off.
 //!
 //! Two probes are provided:
 //!
@@ -25,7 +26,7 @@ use crate::config::SystemConfig;
 use crate::json::Value;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tapeflow_ir::OpClass;
+use tapeflow_ir::{InstId, OpClass};
 
 /// Machine geometry the probe needs to attribute cycles, derived from the
 /// [`SystemConfig`] once per simulation.
@@ -86,7 +87,7 @@ pub struct CacheAccessEvent {
     pub is_write: bool,
 }
 
-/// Observation hooks called by [`crate::engine::simulate_probed`].
+/// Observation hooks called by [`crate::engine::simulate_prepared_probed`].
 ///
 /// Every method has an empty inline default so an unused hook compiles
 /// away entirely; [`NoProbe`] overrides nothing.
@@ -161,8 +162,9 @@ pub trait SimProbe {
     fn on_finish(&mut self, _cycles: u64) {}
 }
 
-/// The probe that observes nothing — [`crate::simulate`]'s default. With
-/// it, `simulate_probed` monomorphizes to the unprobed hot loop.
+/// The probe that observes nothing — [`crate::simulate_prepared`]'s
+/// default. With it, `simulate_prepared_probed` monomorphizes to the
+/// unprobed hot loop.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoProbe;
 
@@ -531,25 +533,26 @@ struct CycleAttr {
 #[derive(Debug)]
 struct PerInstState {
     /// Trace node id → instruction row.
-    map: Vec<u32>,
+    map: Vec<InstId>,
     bd: InstBreakdown,
 }
 
 impl AttributionProbe {
-    /// A fresh probe; pass to [`crate::engine::simulate_probed`].
+    /// A fresh probe; pass to [`crate::engine::simulate_prepared_probed`].
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A probe that additionally splits attribution per IR instruction.
-    /// `node_to_inst[n]` maps trace node `n` to its instruction index;
-    /// `insts` is the instruction count (rows in the result). Nodes that
-    /// map out of range, and causes with no carrier node, land in the
-    /// extra unattributed row.
-    pub fn with_inst_map(node_to_inst: Vec<u32>, insts: usize) -> Self {
+    /// `node_to_inst[n]` is the instruction trace node `n` executed (the
+    /// trace's [`tapeflow_ir::Trace::insts`] column); `insts` is the
+    /// instruction count (rows in the result). Nodes that map out of
+    /// range, and causes with no carrier node, land in the extra
+    /// unattributed row.
+    pub fn with_inst_map(node_to_inst: &[InstId], insts: usize) -> Self {
         AttributionProbe {
             per_inst: Some(PerInstState {
-                map: node_to_inst,
+                map: node_to_inst.to_vec(),
                 bd: InstBreakdown {
                     rows: vec![[0; KINDS]; insts + 1],
                 },
@@ -676,7 +679,7 @@ impl AttributionProbe {
                     n => pi
                         .map
                         .get(n as usize)
-                        .map_or(unattr, |&r| (r as usize).min(unattr)),
+                        .map_or(unattr, |r| r.index().min(unattr)),
                 };
                 pi.bd.rows[row][k] += u * span;
             }
@@ -1241,9 +1244,20 @@ impl SimProbe for SamplingProbe {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::engine::{simulate, simulate_probed, SimOptions};
+    use crate::engine::{simulate_prepared_probed, SimOptions};
+    use crate::PreparedSim;
     use tapeflow_ir::trace::{trace_function, TraceOptions};
-    use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar};
+    use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar, Trace};
+
+    /// Prepares `trace` and simulates it on `cfg` under `probe`.
+    fn sim_probed<P: SimProbe>(
+        trace: &Trace,
+        cfg: &SystemConfig,
+        opts: &SimOptions,
+        probe: &mut P,
+    ) -> crate::SimReport {
+        simulate_prepared_probed(&PreparedSim::new(trace).unwrap(), cfg, opts, probe)
+    }
 
     fn run_probed(
         build: impl FnOnce(&mut FunctionBuilder),
@@ -1255,7 +1269,7 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let mut probe = AttributionProbe::new();
-        let r = simulate_probed(&trace, cfg, &SimOptions::default(), &mut probe).unwrap();
+        let r = sim_probed(&trace, cfg, &SimOptions::default(), &mut probe);
         (r, probe.into_breakdown())
     }
 
@@ -1356,9 +1370,9 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let plain = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+        let plain = sim_probed(&trace, &cfg, &SimOptions::default(), &mut NoProbe);
         let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, "t"));
-        let probed = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
+        let probed = sim_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
         assert_eq!(plain.cycles, probed.cycles);
         assert_eq!(plain.cache, probed.cache);
         assert_eq!(plain.fp_ops, probed.fp_ops);
@@ -1379,13 +1393,8 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let map: Vec<u32> = trace
-            .nodes()
-            .iter()
-            .map(|n| n.inst.index() as u32)
-            .collect();
-        let mut probe = AttributionProbe::with_inst_map(map, f.insts().len());
-        let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe).unwrap();
+        let mut probe = AttributionProbe::with_inst_map(trace.insts(), f.insts().len());
+        let r = sim_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
         let (bd, pi) = probe.into_parts();
         let pi = pi.expect("per-inst mode on");
         bd.check().unwrap();
@@ -1405,7 +1414,7 @@ mod tests {
         assert!(loads > 0, "miss stalls must land on the load inst: {pi:?}");
         // Per-cause totals are byte-identical to a plain probe's.
         let mut plain = AttributionProbe::new();
-        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut plain).unwrap();
+        sim_probed(&trace, &cfg, &SimOptions::default(), &mut plain);
         assert_eq!(plain.into_breakdown(), bd);
     }
 
@@ -1507,7 +1516,7 @@ mod tests {
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let run = |window, stride| {
             let mut p = SamplingProbe::new(1, "s", window, stride);
-            simulate_probed(&trace, &cfg, &SimOptions::default(), &mut p).unwrap();
+            sim_probed(&trace, &cfg, &SimOptions::default(), &mut p);
             let frac = p.recorded_fraction();
             (SamplingProbe::chrome_trace([p]).render(), frac)
         };
@@ -1552,7 +1561,7 @@ mod tests {
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let mut rec = TraceRecorder::new(7, "unit");
-        simulate_probed(&trace, &cfg, &SimOptions::default(), &mut rec).unwrap();
+        sim_probed(&trace, &cfg, &SimOptions::default(), &mut rec);
         let doc = TraceRecorder::chrome_trace([rec]);
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty());

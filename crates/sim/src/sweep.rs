@@ -402,10 +402,14 @@ pub(crate) fn spad_map_equal(prep: &PreparedSim, b1: usize, b2: usize) -> bool {
     if b1 == b2 {
         return true;
     }
-    prep.class.iter().zip(&prep.addr).all(|(c, &a)| {
-        !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
-            || (a as usize) % b1 == (a as usize) % b2
-    })
+    prep.cols
+        .class()
+        .iter()
+        .zip(prep.cols.addr())
+        .all(|(c, &a)| {
+            !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
+                || (a as usize) % b1 == (a as usize) % b2
+        })
 }
 
 /// The order in which to run `cfgs` through one [`SweepSession`] to
@@ -455,9 +459,14 @@ pub fn run_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::engine::simulate_prepared;
     use tapeflow_ir::trace::{trace_function, TraceOptions};
     use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Op, Scalar, Trace};
+
+    /// A cold run: a fresh arena for `trace`, simulated on `cfg`.
+    fn cold_run(trace: &Trace, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
+        simulate_prepared(&PreparedSim::new(trace).unwrap(), cfg, opts)
+    }
 
     fn mixed_trace(arrays: usize, len: i64) -> Trace {
         mixed_trace_with(arrays, len, false)
@@ -540,7 +549,7 @@ mod tests {
             for &bytes in ladder {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
                 let inc = sess.simulate(&cfg);
-                let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+                let fresh = cold_run(&trace, &cfg, &SimOptions::default());
                 assert_eq!(
                     inc.to_json().render(),
                     fresh.to_json().render(),
@@ -564,7 +573,7 @@ mod tests {
         let first = sess.simulate(&big);
         let second = sess.simulate(&bigger);
         assert_eq!(first.cycles, second.cycles, "fits-in-cache: same schedule");
-        let fresh = simulate(&trace, &bigger, &SimOptions::default()).unwrap();
+        let fresh = cold_run(&trace, &bigger, &SimOptions::default());
         assert_eq!(second.to_json().render(), fresh.to_json().render());
     }
 
@@ -579,7 +588,7 @@ mod tests {
         b.cache.hit_latency = 5;
         let _ = sess.simulate(&a);
         let rb = sess.simulate(&b);
-        let fresh = simulate(&trace, &b, &SimOptions::default()).unwrap();
+        let fresh = cold_run(&trace, &b, &SimOptions::default());
         assert_eq!(rb.to_json().render(), fresh.to_json().render());
     }
 
@@ -594,7 +603,7 @@ mod tests {
         for bytes in [1 << 20, 2 << 20, 1024] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &opts).unwrap();
+            let fresh = cold_run(&trace, &cfg, &opts);
             assert_eq!(inc.node_finish, fresh.node_finish, "cache={bytes}");
         }
     }
@@ -614,7 +623,7 @@ mod tests {
             for &bytes in ladder {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
                 let inc = sess.simulate(&cfg);
-                let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+                let fresh = cold_run(&trace, &cfg, &SimOptions::default());
                 assert_eq!(
                     inc.to_json().render(),
                     fresh.to_json().render(),
@@ -644,7 +653,7 @@ mod tests {
         for (trace, event_loop) in traces {
             let prep = PreparedSim::new(&trace).unwrap();
             assert_eq!(prep.spad_or_stream(), !event_loop);
-            let fresh = simulate(&trace, &cfg, &opts).unwrap();
+            let fresh = cold_run(&trace, &cfg, &opts);
             let mut rec = Recording::new(4, CKPT_HARD_CAP, prep.n_mem, u64::MAX);
             let recorded = run_unprobed::<true>(
                 &prep,
@@ -683,9 +692,10 @@ mod tests {
         let trace = spad_stream_trace(16);
         let prep = Arc::new(PreparedSim::new(&trace).unwrap());
         let spad_addrs: Vec<u64> = prep
-            .class
+            .cols
+            .class()
             .iter()
-            .zip(&prep.addr)
+            .zip(prep.cols.addr())
             .filter(|(c, _)| matches!(c, OpClass::SpadLoad | OpClass::SpadStore))
             .map(|(_, &a)| a)
             .collect();
@@ -699,7 +709,7 @@ mod tests {
             let mut cfg = SystemConfig::default();
             cfg.spad.banks = banks;
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+            let fresh = cold_run(&trace, &cfg, &SimOptions::default());
             assert_eq!(
                 inc.to_json().render(),
                 fresh.to_json().render(),
@@ -722,7 +732,7 @@ mod tests {
         b.dram.latency = 200;
         for cfg in [&a, &b, &a] {
             let inc = sess.simulate(cfg);
-            let fresh = simulate(&trace, cfg, &SimOptions::default()).unwrap();
+            let fresh = cold_run(&trace, cfg, &SimOptions::default());
             assert_eq!(inc.to_json().render(), fresh.to_json().render());
         }
     }
@@ -739,7 +749,7 @@ mod tests {
         b.energy.dram_pj_per_byte *= 2.0;
         let _ = sess.simulate(&a);
         let rb = sess.simulate(&b);
-        let fresh = simulate(&trace, &b, &SimOptions::default()).unwrap();
+        let fresh = cold_run(&trace, &b, &SimOptions::default());
         assert_eq!(rb.to_json().render(), fresh.to_json().render());
     }
 
@@ -787,7 +797,7 @@ mod tests {
         for bytes in [1024usize, 32768, 131072] {
             let cfg = SystemConfig::with_cache_bytes(bytes);
             let inc = sess.simulate(&cfg);
-            let fresh = simulate(&trace, &cfg, &SimOptions::default()).unwrap();
+            let fresh = cold_run(&trace, &cfg, &SimOptions::default());
             assert_eq!(inc.to_json().render(), fresh.to_json().render());
         }
     }
@@ -809,7 +819,7 @@ mod tests {
         let got = run_group(Arc::clone(&prep), SimOptions::default(), &cfgs);
         assert_eq!(got.len(), cfgs.len());
         for (i, cfg) in cfgs.iter().enumerate() {
-            let fresh = simulate(&trace, cfg, &SimOptions::default()).unwrap();
+            let fresh = cold_run(&trace, cfg, &SimOptions::default());
             assert_eq!(
                 got[i].to_json().render(),
                 fresh.to_json().render(),

@@ -9,7 +9,7 @@ use tapeflow_autodiff::{differentiate, AdOptions, Gradient};
 use tapeflow_core::{compile, CompileOptions};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayId, ArrayKind, Function, FunctionBuilder, Memory, Scalar};
-use tapeflow_sim::{simulate, SimOptions, SimReport, SystemConfig};
+use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SimReport, SystemConfig};
 
 /// An irregular kernel in the paper's regime: a deep taped chain per
 /// iteration makes the tape the dominant share of the working set
@@ -62,7 +62,8 @@ fn run(
         },
     )
     .unwrap();
-    simulate(&trace, cfg, &SimOptions::default()).unwrap()
+    let prep = PreparedSim::new(&trace).unwrap();
+    simulate_prepared(&prep, cfg, &SimOptions::default())
 }
 
 #[test]

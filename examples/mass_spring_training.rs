@@ -12,7 +12,7 @@ use tapeflow::benchmarks::{by_name, Scale};
 use tapeflow::core::{compile, CompileOptions};
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, Memory};
-use tapeflow::sim::{simulate, SimOptions, SystemConfig};
+use tapeflow::sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 fn main() {
     let bench = by_name("mass_spring", Scale::Small);
@@ -77,8 +77,10 @@ fn main() {
     )
     .expect("traces");
     let cfg = SystemConfig::baseline_32k();
-    let tf = simulate(&tf_trace, &cfg, &SimOptions::default()).expect("simulates");
-    let ez = simulate(&ez_trace, &cfg, &SimOptions::default()).expect("simulates");
+    let tf_prep = PreparedSim::new(&tf_trace).expect("fits the arena limits");
+    let ez_prep = PreparedSim::new(&ez_trace).expect("fits the arena limits");
+    let tf = simulate_prepared(&tf_prep, &cfg, &SimOptions::default());
+    let ez = simulate_prepared(&ez_prep, &cfg, &SimOptions::default());
     println!(
         "one training step on the accelerator: Enzyme_32k {} cycles vs Tflow_32k {} cycles ({:.2}x)",
         ez.cycles,

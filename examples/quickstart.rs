@@ -9,7 +9,7 @@ use tapeflow::autodiff::{differentiate, AdOptions, TapePolicy};
 use tapeflow::core::{compile, CompileOptions};
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, ArrayKind, FunctionBuilder, Memory, Scalar};
-use tapeflow::sim::{simulate, SimOptions, SystemConfig};
+use tapeflow::sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 fn main() {
     // 1. Write a forward function in the IR: loss = sum_i tanh(exp(x_i))^2.
@@ -75,10 +75,14 @@ fn main() {
     assert_eq!(d_enzyme, d_tapeflow, "same gradients, bit for bit");
     println!("d_x[0..4] = {:?}", &d_enzyme[..4]);
 
-    // 5. Simulate on the spatial accelerator with an 8 KB cache.
+    // 5. Simulate on the spatial accelerator with an 8 KB cache. Each
+    //    trace is prepared once into a config-independent arena, which
+    //    can then simulate any number of configurations.
     let cfg = SystemConfig::with_cache_bytes(8 * 1024);
-    let ez = simulate(&enzyme_trace, &cfg, &SimOptions::default()).expect("simulates");
-    let tf = simulate(&tapeflow_trace, &cfg, &SimOptions::default()).expect("simulates");
+    let ez_prep = PreparedSim::new(&enzyme_trace).expect("fits the arena limits");
+    let tf_prep = PreparedSim::new(&tapeflow_trace).expect("fits the arena limits");
+    let ez = simulate_prepared(&ez_prep, &cfg, &SimOptions::default());
+    let tf = simulate_prepared(&tf_prep, &cfg, &SimOptions::default());
     println!(
         "Enzyme_8k : {} cycles, {} DRAM bytes, {:.1} nJ on-chip",
         ez.cycles,

@@ -116,8 +116,8 @@ use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{interp, parse, pretty, vra, ArrayId, ArrayKind, Function, Memory, Op, Scalar};
 use tapeflow::sim::json::Value;
 use tapeflow::sim::{
-    simulate, simulate_probed, AttributionProbe, CycleBreakdown, SamplingProbe, SimOptions,
-    SimReport, StallKind, SystemConfig, TraceRecorder,
+    simulate_prepared, simulate_prepared_probed, AttributionProbe, CycleBreakdown, PreparedSim,
+    SamplingProbe, SimOptions, SimReport, StallKind, SystemConfig, TraceRecorder,
 };
 
 /// Timeline slice length for `profile --sample N`: every `N`-th window
@@ -965,8 +965,8 @@ fn run() -> Result<ExitCode, String> {
                     },
                 )
                 .map_err(|e| e.to_string())?;
-                let r =
-                    simulate(&trace, &cfg, &SimOptions::default()).map_err(|e| e.to_string())?;
+                let prep = PreparedSim::new(&trace).map_err(|e| e.to_string())?;
+                let r = simulate_prepared(&prep, &cfg, &SimOptions::default());
                 println!(
                     "{label:<8} cycles {:>10}  dram bytes {:>10}  on-chip pJ {:>12.0}  rev hit {:.1}%",
                     r.cycles,
@@ -1041,7 +1041,7 @@ fn run() -> Result<ExitCode, String> {
                     // The trace is the node → instruction back-map; the
                     // probe splits the same PE-cycle budget one level
                     // finer along it.
-                    AttributionProbe::with_inst_map(attr::node_to_inst(&trace), f.insts().len())
+                    AttributionProbe::with_inst_map(trace.insts(), f.insts().len())
                 } else {
                     AttributionProbe::new()
                 };
@@ -1052,8 +1052,8 @@ fn run() -> Result<ExitCode, String> {
                         SamplingProbe::new(pid as u64 + 1, label, SAMPLE_WINDOW, stride)
                     });
                 let mut probe = (attr_probe, (recorder, sampler));
-                let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe)
-                    .map_err(|e| e.to_string())?;
+                let prep = PreparedSim::new(&trace).map_err(|e| e.to_string())?;
+                let r = simulate_prepared_probed(&prep, &cfg, &SimOptions::default(), &mut probe);
                 let (attr_probe, (recorder, sampler)) = probe;
                 let (bd, inst_bd) = attr_probe.into_parts();
                 bd.check()

@@ -7,7 +7,9 @@ use tapeflow::benchmarks::{by_name, Scale};
 use tapeflow::core::{compile, CompileOptions};
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, ArrayKind, FunctionBuilder, Memory, Scalar};
-use tapeflow::sim::{simulate, Cache, CacheConfig, ReplacementPolicy, SimOptions, SystemConfig};
+use tapeflow::sim::{
+    simulate_prepared, Cache, CacheConfig, PreparedSim, ReplacementPolicy, SimOptions, SystemConfig,
+};
 
 #[test]
 fn readme_flow_works_through_the_facade() {
@@ -35,7 +37,11 @@ fn readme_flow_works_through_the_facade() {
         },
     )
     .unwrap();
-    let report = simulate(&trace, &SystemConfig::default(), &SimOptions::default()).unwrap();
+    let report = simulate_prepared(
+        &PreparedSim::new(&trace).unwrap(),
+        &SystemConfig::default(),
+        &SimOptions::default(),
+    );
     assert!(report.cycles > 0);
     let d = mem.get_f64(grad.shadow_of(x).unwrap());
     assert!(d.iter().all(|&g| (g - 0.1f64.exp()).abs() < 1e-12));
@@ -55,7 +61,11 @@ fn simulation_is_deterministic() {
             },
         )
         .unwrap();
-        let r = simulate(&t, &SystemConfig::default(), &SimOptions::default()).unwrap();
+        let r = simulate_prepared(
+            &PreparedSim::new(&t).unwrap(),
+            &SystemConfig::default(),
+            &SimOptions::default(),
+        );
         (
             t.len(),
             t.edge_count(),
@@ -103,7 +113,7 @@ fn replacement_policy_does_not_rescue_the_baseline() {
     for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
         let mut cfg = SystemConfig::with_cache_bytes(8 * 1024);
         cfg.cache.policy = policy;
-        let r = simulate(&t, &cfg, &SimOptions::default()).unwrap();
+        let r = simulate_prepared(&PreparedSim::new(&t).unwrap(), &cfg, &SimOptions::default());
         assert!(r.cache.tape_misses > 0, "{policy:?}");
         results.push(r.cycles as f64);
     }

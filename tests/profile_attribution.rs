@@ -12,7 +12,8 @@ use tapeflow::core::{CompileOptions, CompiledProgram};
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{parse, ArrayId, ArrayKind, Function, Memory, Scalar};
 use tapeflow::sim::{
-    simulate, simulate_probed, AttributionProbe, SimOptions, StallKind, SystemConfig,
+    simulate_prepared, simulate_prepared_probed, AttributionProbe, PreparedSim, SimOptions,
+    StallKind, SystemConfig,
 };
 
 /// Deterministic inputs matching the CLI: f64 ramps, i64 identity
@@ -111,9 +112,10 @@ fn check_variant(label: &str, setup: &Setup, variant_is_tapeflow: bool, sys: &Sy
         },
     )
     .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let plain = simulate(&trace, sys, &SimOptions::default()).unwrap();
+    let prep = PreparedSim::new(&trace).unwrap();
+    let plain = simulate_prepared(&prep, sys, &SimOptions::default());
     let mut probe = AttributionProbe::new();
-    let probed = simulate_probed(&trace, sys, &SimOptions::default(), &mut probe).unwrap();
+    let probed = simulate_prepared_probed(&prep, sys, &SimOptions::default(), &mut probe);
 
     // The probe must be invisible: identical report, counter by counter.
     assert_eq!(plain.cycles, probed.cycles, "{label}: cycles");

@@ -12,15 +12,18 @@ use tapeflow::core::pipeline::PipelineBuilder;
 use tapeflow::core::CompileOptions;
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, Function, Memory};
-use tapeflow::sim::{simulate_probed, AttributionProbe, InstBreakdown, SimOptions, SystemConfig};
+use tapeflow::sim::{
+    simulate_prepared_probed, AttributionProbe, InstBreakdown, PreparedSim, SimOptions,
+    SystemConfig,
+};
 
 /// Runs `func`'s trace under the per-inst probe and checks the
 /// partition invariants; returns the raw per-inst ledger.
 fn probed_rows(label: &str, func: &Function, trace: &tapeflow::ir::trace::Trace) -> InstBreakdown {
     let sys = SystemConfig::default();
-    let mut probe = AttributionProbe::with_inst_map(attr::node_to_inst(trace), func.insts().len());
-    simulate_probed(trace, &sys, &SimOptions::default(), &mut probe)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let prep = PreparedSim::new(trace).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut probe = AttributionProbe::with_inst_map(trace.insts(), func.insts().len());
+    simulate_prepared_probed(&prep, &sys, &SimOptions::default(), &mut probe);
     let (bd, inst_bd) = probe.into_parts();
     let inst_bd = inst_bd.expect("per-inst mode was requested");
     bd.check().unwrap_or_else(|e| panic!("{label}: {e}"));
