@@ -23,13 +23,16 @@ use tapeflow_sim::{
     TraceRecorder,
 };
 
-/// Program variants exercised per benchmark: the Enzyme baseline and
-/// the Tapeflow build at the default cache, plus a thrash-sized cache
-/// so miss/writeback/MSHR paths diverge from the hit path.
-fn configs() -> [Config; 3] {
+/// Program variants exercised per benchmark: the Enzyme baseline, the
+/// Tapeflow build and its width-compressed form (whose `StreamInC` /
+/// `StreamOutC` transfers are the only streams not sized at 8 bytes per
+/// element) at the default cache, plus a thrash-sized cache so
+/// miss/writeback/MSHR paths diverge from the hit path.
+fn configs() -> [Config; 4] {
     [
         Config::enzyme(32 * 1024),
         Config::tapeflow(32 * 1024),
+        Config::tapeflow_compressed(32 * 1024),
         Config::enzyme(4 * 1024),
     ]
 }

@@ -327,7 +327,7 @@ pub fn simulate_probed<P: SimProbe>(
         for dir in 0..2 {
             if stream_free[dir] <= now {
                 if let Some(id) = q_stream[dir].pop_front() {
-                    let bytes = u64::from(cols.bytes()[id as usize]);
+                    let bytes = u64::from(cols.bytes(id as usize));
                     report.stream_cmds += 1;
                     report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = dram.transfer(now, bytes);

@@ -41,9 +41,9 @@ fn fingerprint(t: &Trace) -> Fingerprint {
             cols.phase(i) as u8,
             u8::from(cols.is_tape(i)),
         ]);
-        h.word(u64::from(t.layers()[i]));
+        h.word(u64::from(t.layer(i)));
         h.word(cols.addr()[i]);
-        h.word(u64::from(cols.bytes()[i]));
+        h.word(u64::from(cols.bytes(i)));
         let deps = t.deps(NodeId::new(i));
         h.word(deps.len() as u64);
         for d in deps {

@@ -300,7 +300,7 @@ fn streams_obey_lifo_stack_order() {
     let mut ins: Vec<(u64, u32)> = Vec::new();
     let cols = trace.columns();
     for (i, &inst) in trace.insts().iter().enumerate() {
-        let node = (cols.addr()[i], cols.bytes()[i]);
+        let node = (cols.addr()[i], cols.bytes(i));
         match c.func.inst(inst).op {
             Op::StreamOut(_) => outs.push(node),
             Op::StreamIn(_) => ins.push(node),

@@ -220,7 +220,7 @@ fn stream_stack_lifo_under_random_programs() {
         let streams = |want: fn(&Op) -> bool| -> Vec<(u64, u32)> {
             (0..trace.len())
                 .filter(|&i| want(&c.func.inst(trace.insts()[i]).op))
-                .map(|i| (cols.addr()[i], cols.bytes()[i]))
+                .map(|i| (cols.addr()[i], cols.bytes(i)))
                 .collect()
         };
         let outs = streams(|op| matches!(op, Op::StreamOut(_)));

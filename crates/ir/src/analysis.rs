@@ -106,7 +106,7 @@ pub fn trace_stats(trace: &Trace) -> TraceStats {
             }
             OpClass::SpadLoad | OpClass::SpadStore => s.spad_accesses += 1,
             OpClass::Stream => {
-                let bytes = u64::from(cols.bytes()[i]);
+                let bytes = u64::from(cols.bytes(i));
                 s.streams += 1;
                 s.stream_bytes += bytes;
                 // Streams touch DRAM too; count their footprint.

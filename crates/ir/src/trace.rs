@@ -18,12 +18,16 @@
 //! # Representation
 //!
 //! Per-node metadata is stored as columns, each filled by a plain push.
-//! The columns the simulator reads (class, flags, address, bytes) form
-//! one [`NodeColumns`] block behind an `Arc`, which the simulator's arena
-//! shares instead of copying; the instruction and layer columns sit
-//! beside it. Dependences stream into one flat predecessor CSR: node
-//! `i`'s sorted, deduplicated predecessors are
-//! `dep_dat[dep_off[i]..dep_off[i + 1]]`, read through [`Trace::deps`].
+//! The columns the simulator reads (class, flags, address) form one
+//! [`NodeColumns`] block behind an `Arc`, which the simulator's arena
+//! shares instead of copying; the instruction column sits beside it.
+//! Metadata that is constant on almost every node is not a column: a
+//! node's byte count follows from its class except on streams, which
+//! keep theirs in a sparse list, and its layer follows from the sorted
+//! ids of the `SAlloc` nodes that open each layer. Dependences stream
+//! into one flat predecessor CSR: node `i`'s sorted, deduplicated
+//! predecessors are `dep_dat[dep_off[i]..dep_off[i + 1]]`, read through
+//! [`Trace::deps`].
 //! Nothing is allocated per node; one reused scratch buffer collects
 //! each node's dependences before they are appended. Per-word memory
 //! state sits in two dense tables — DRAM words indexed by
@@ -66,15 +70,16 @@ pub const FLAG_REV: u8 = 1 << 1;
 pub const FLAG_STREAM_IN: u8 = 1 << 2;
 
 /// The per-node columns a simulator arena reads, indexed by node id and
-/// all of the trace's length. A [`Trace`] holds them behind an [`Arc`]
-/// so an arena built from it shares them instead of copying them (see
-/// [`Trace::columns`]).
+/// all of the trace's length, plus the transfer size of every stream.
+/// A [`Trace`] holds them behind an [`Arc`] so an arena built from it
+/// shares them instead of copying them (see [`Trace::columns`]).
 #[derive(Clone, Debug, Default)]
 pub struct NodeColumns {
     class: Vec<OpClass>,
     flags: Vec<u8>,
     addr: Vec<u64>,
-    bytes: Vec<u32>,
+    /// `(node, bytes)` per stream command, sorted by node id.
+    streams: Vec<(u32, u32)>,
 }
 
 impl NodeColumns {
@@ -97,11 +102,20 @@ impl NodeColumns {
         &self.addr
     }
 
-    /// Bytes moved per node (8 for scalar accesses, the transfer size for
-    /// streams, 0 for compute).
+    /// Bytes node `i` moves: 8 for a scalar cache or scratchpad access,
+    /// the transfer size for a stream, 0 for compute.
     #[inline]
-    pub fn bytes(&self) -> &[u32] {
-        &self.bytes
+    pub fn bytes(&self, i: usize) -> u32 {
+        match self.class[i] {
+            OpClass::MemLoad | OpClass::MemStore | OpClass::SpadLoad | OpClass::SpadStore => 8,
+            OpClass::Stream => {
+                let k = self
+                    .streams
+                    .partition_point(|&(node, _)| (node as usize) < i);
+                self.streams[k].1
+            }
+            _ => 0,
+        }
     }
 
     /// Whether node `i` is a tape access.
@@ -129,18 +143,17 @@ pub struct Trace {
     cols: Arc<NodeColumns>,
     /// The static instruction each node executed.
     insts: Vec<InstId>,
-    /// Layer index per node, or [`NO_LAYER`].
-    layers: Vec<u32>,
+    /// The `SAlloc` nodes, each opening the next layer, in id order.
+    salloc: Vec<u32>,
     /// CSR offsets into `dep_dat` (`len() + 1` entries).
     dep_off: Vec<u32>,
     /// Every node's predecessors, concatenated in node order.
     dep_dat: Vec<NodeId>,
-    layer_count: u32,
 }
 
 impl Trace {
-    /// The class, flag, address and byte columns, in execution order (a
-    /// valid topological order).
+    /// The class, flag and address columns and the stream sizes, in
+    /// execution order (a valid topological order).
     #[inline]
     pub fn columns(&self) -> &Arc<NodeColumns> {
         &self.cols
@@ -152,10 +165,15 @@ impl Trace {
         &self.insts
     }
 
-    /// Each node's layer index, or [`NO_LAYER`].
+    /// Node `i`'s layer index: the number of `SAlloc` nodes before it,
+    /// counting itself if it is one, less one; [`NO_LAYER`] before the
+    /// first.
     #[inline]
-    pub fn layers(&self) -> &[u32] {
-        &self.layers
+    pub fn layer(&self, i: usize) -> u32 {
+        match self.salloc.partition_point(|&s| s as usize <= i) {
+            0 => NO_LAYER,
+            opened => opened as u32 - 1,
+        }
     }
 
     /// The nodes `id` must wait for, in increasing id order.
@@ -180,7 +198,7 @@ impl Trace {
     /// Number of layers (SAlloc count); 0 for unlayered programs.
     #[inline]
     pub fn layer_count(&self) -> u32 {
-        self.layer_count
+        self.salloc.len() as u32
     }
 
     /// Total dependence edges.
@@ -280,7 +298,7 @@ fn dram_word(addr: u64) -> usize {
 struct Tracer {
     cols: NodeColumns,
     insts: Vec<InstId>,
-    layers: Vec<u32>,
+    salloc: Vec<u32>,
     dep_off: Vec<u32>,
     dep_dat: Vec<NodeId>,
     /// Dependences of the node being traced (reused for every node).
@@ -293,8 +311,6 @@ struct Tracer {
     since_barrier: Vec<NodeId>,
     phase: Phase,
     phase_barrier: Option<InstId>,
-    layer: u32,
-    layer_count: u32,
 }
 
 impl Tracer {
@@ -302,7 +318,7 @@ impl Tracer {
         Tracer {
             cols: NodeColumns::default(),
             insts: Vec::new(),
-            layers: Vec::new(),
+            salloc: Vec::new(),
             dep_off: vec![0],
             dep_dat: Vec::new(),
             deps: Vec::new(),
@@ -317,8 +333,6 @@ impl Tracer {
             since_barrier: Vec::new(),
             phase: Phase::Fwd,
             phase_barrier: opts.phase_barrier,
-            layer: NO_LAYER,
-            layer_count: 0,
         }
     }
 }
@@ -336,8 +350,7 @@ impl ExecHook for Tracer {
             self.phase = Phase::Rev;
         }
         if let Op::SAlloc { .. } = decl.op {
-            self.layer = self.layer_count;
-            self.layer_count += 1;
+            self.salloc.push(me.0);
         }
 
         // SSA operand dependences.
@@ -366,23 +379,23 @@ impl ExecHook for Tracer {
         }
 
         let (readers, deps) = (&mut self.readers, &mut self.deps);
-        let (addr, bytes, is_tape) = match effect {
-            MemEffect::None => (0u64, 0u32, false),
+        let (addr, is_tape) = match effect {
+            MemEffect::None => (0u64, false),
             MemEffect::Load { addr, array } => {
                 readers.read(&mut self.dram[dram_word(*addr)], me.0, deps);
-                (*addr, 8, func.array(*array).kind.is_tape())
+                (*addr, func.array(*array).kind.is_tape())
             }
             MemEffect::Store { addr, array } => {
                 readers.write(&mut self.dram[dram_word(*addr)], me.0, deps);
-                (*addr, 8, func.array(*array).kind.is_tape())
+                (*addr, func.array(*array).kind.is_tape())
             }
             MemEffect::SpadLoad { entry } => {
                 readers.read(&mut self.spad[*entry as usize], me.0, deps);
-                (*entry, 8, true)
+                (*entry, true)
             }
             MemEffect::SpadStore { entry } => {
                 readers.write(&mut self.spad[*entry as usize], me.0, deps);
-                (*entry, 8, true)
+                (*entry, true)
             }
             MemEffect::Stream {
                 spad,
@@ -424,7 +437,8 @@ impl ExecHook for Tracer {
                     } => (elems.div_ceil(struct_elems as u64) * struct_bytes as u64) as u32,
                     _ => (*elems as u32) * 8,
                 };
-                (*dram_start, bytes, true)
+                self.cols.streams.push((me.0, bytes));
+                (*dram_start, true)
             }
         };
 
@@ -464,9 +478,7 @@ impl ExecHook for Tracer {
         cols.class.push(decl.op.class());
         cols.flags.push(flags);
         cols.addr.push(addr);
-        cols.bytes.push(bytes);
         self.insts.push(inst);
-        self.layers.push(self.layer);
     }
 }
 
@@ -505,15 +517,14 @@ pub fn trace_function(
     cols.class.shrink_to_fit();
     cols.flags.shrink_to_fit();
     cols.addr.shrink_to_fit();
-    cols.bytes.shrink_to_fit();
+    cols.streams.shrink_to_fit();
     Ok(Trace {
         name: func.name.clone(),
         cols: Arc::new(tracer.cols),
         insts: tracer.insts,
-        layers: tracer.layers,
+        salloc: tracer.salloc,
         dep_off: tracer.dep_off,
         dep_dat: tracer.dep_dat,
-        layer_count: tracer.layer_count,
     })
 }
 
@@ -549,6 +560,12 @@ mod tests {
         assert_eq!(t.len(), 12);
         assert!(!t.is_empty());
         assert_eq!(t.layer_count(), 0);
+        assert_eq!(t.layer(11), NO_LAYER);
+        // Loads and stores move one 8-byte word; compute moves nothing.
+        assert_eq!(
+            (0..3).map(|i| t.columns().bytes(i)).collect::<Vec<_>>(),
+            [8, 0, 8]
+        );
     }
 
     #[test]
@@ -643,9 +660,12 @@ mod tests {
             .iter()
             .position(|&i| matches!(f.inst(i).op, Op::StreamOutC { .. }))
             .unwrap();
-        assert_eq!(t.columns().bytes()[sn], 12);
+        assert_eq!(t.columns().bytes(sn), 12);
         assert!(t.columns().is_tape(sn));
         assert_eq!(t.columns().class()[sn], OpClass::Stream);
+        // The `SAlloc` before it moves nothing and opens layer 0.
+        assert_eq!(t.columns().bytes(0), 0);
+        assert_eq!((t.layer(0), t.layer(sn), t.layer_count()), (0, 0, 1));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! ## Host-throughput architecture
 //!
 //! The scheduler runs off a [`PreparedSim`] arena — config-independent
-//! and built once per trace: the trace's own per-node class, flag,
-//! address and byte columns (shared, not copied), plus the successor
-//! CSR and fused ready/indegree state — reused across an entire
+//! and built once per trace: the trace's own per-node class, flag and
+//! address columns and stream sizes (shared, not copied), plus the
+//! successor CSR and initial indegrees — reused across an entire
 //! parameter sweep. The hot loop reads only that arena, keeps a single
 //! reusable conflict scratch buffer instead of a per-cycle allocation,
 //! and **gap-skips**: whenever nothing can issue before the next
@@ -229,10 +229,10 @@ impl IssueSrv {
 /// whose `stream` and `cache_timing` classes match.
 #[derive(Clone)]
 pub(crate) struct SchedState {
-    /// Fused (ready, indeg) state: one memcpy from the arena template,
-    /// one random access per dependence edge in the completion walk.
+    /// Fused (ready, indeg) state, one random access per dependence
+    /// edge in the completion walk. A completed node's `ready` holds its
+    /// finish time: nothing reads a node's readiness once it has issued.
     pend: Vec<NodeState>,
-    finish: Vec<u64>,
     events: EventQ,
     /// Per-class in-order wait queues (per-cycle core only).
     q_fp: VecDeque<u32>,
@@ -267,8 +267,11 @@ impl SchedState {
             events.push(0, r);
         }
         SchedState {
-            pend: prep.pend0.clone(),
-            finish: vec![0u64; prep.n],
+            pend: prep
+                .indeg0
+                .iter()
+                .map(|&indeg| NodeState { ready: 0, indeg })
+                .collect(),
             events,
             q_fp: VecDeque::with_capacity(64),
             q_int: VecDeque::with_capacity(64),
@@ -334,7 +337,6 @@ fn core_loop<P: SimProbe, const REC: bool>(
     let class = &prep.cols.class()[..n];
     let flags = &prep.cols.flags()[..n];
     let addr = &prep.cols.addr()[..n];
-    let nbytes = &prep.cols.bytes()[..n];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
 
@@ -368,7 +370,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
         ($id:expr, $fin:expr, $merge:expr) => {{
             let id = $id as usize;
             let fin: u64 = $fin;
-            st.finish[id] = fin;
+            st.pend[id].ready = fin;
             st.max_finish = st.max_finish.max(fin);
             st.completed += 1;
             if phase_barrier_idx == Some(id) {
@@ -635,7 +637,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
         for dir in 0..2 {
             if st.stream_free[dir] <= st.now {
                 if let Some(id) = st.q_stream[dir].pop_front() {
-                    let bytes = nbytes[id as usize] as u64;
+                    let bytes = u64::from(prep.cols.bytes(id as usize));
                     st.report.stream_cmds += 1;
                     st.report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = st.dram.transfer(st.now, bytes);
@@ -702,7 +704,7 @@ fn finalize(
     report.cycles = st.max_finish;
     report.fwd_cycles = prep
         .phase_barrier_idx
-        .map_or(st.max_finish, |i| st.finish[i]);
+        .map_or(st.max_finish, |i| st.pend[i].ready);
     // Cool-down: lines still dirty when the run ends must reach DRAM
     // eventually. Charge those write-backs to traffic exactly once —
     // this happens before energy accounting so the DRAM energy sees
@@ -716,7 +718,7 @@ fn finalize(
 
     recompute_energy(&mut report, cfg);
     if opts.record_node_times {
-        report.node_finish = Some(st.finish);
+        report.node_finish = Some(st.pend.iter().map(|p| p.ready).collect());
     }
     report
 }
@@ -1060,8 +1062,8 @@ impl Recording {
 
     /// Drops everything past checkpoint `keep` so the tail can be
     /// re-recorded from there. The re-recorded tail takes **no new
-    /// checkpoints**: each clones the per-node `pend` and `finish`
-    /// arrays (24 bytes/node) plus the event queue, and on a monotone
+    /// checkpoints**: each clones the per-node `pend` array (16
+    /// bytes/node) plus the event queue, and on a monotone
     /// ladder every later divergence lands at or before this one,
     /// where the surviving prefix checkpoints already serve.
     pub(crate) fn truncate_to(&mut self, keep: usize) {
@@ -1130,7 +1132,7 @@ fn dataflow_loop<const REC: bool>(
             ($id:expr, $fin:expr) => {{
                 let id = $id as usize;
                 let fin: u64 = $fin;
-                st.finish[id] = fin;
+                st.pend[id].ready = fin;
                 if fin > st.max_finish {
                     st.max_finish = fin;
                 }

@@ -1,12 +1,14 @@
 //! Config-independent simulation arena.
 //!
 //! A [`PreparedSim`] pairs the trace's per-node column block (class,
-//! flags, address, bytes: [`NodeColumns`]), shared through one `Arc`
-//! rather than copied, with what the scheduler derives from the graph's
-//! shape: the successor CSR (the trace's flat predecessor CSR,
-//! transposed in two linear passes), initial indegrees (read off the
-//! predecessor offsets), the root set, the phase-barrier index and the
-//! per-class presence bits. None of it depends on the
+//! flags, address, plus the sparse stream sizes: [`NodeColumns`]),
+//! shared through one `Arc` rather than copied, with what the scheduler
+//! derives from the graph's shape: the successor CSR (the trace's flat
+//! predecessor CSR, transposed in two linear passes), one `u32` initial
+//! indegree per node (read off the predecessor offsets), the root set,
+//! the phase-barrier index and the per-class presence bits. Per node
+//! that is 10 bytes of shared columns, 4 of indegree and 4 of successor
+//! offset, plus 4 per dependence edge. None of it depends on the
 //! [`crate::SystemConfig`], so a parameter sweep that only perturbs
 //! cache/scratchpad/DRAM settings re-simulates from this shared prefix
 //! instead of rebuilding it per configuration (the bench harness keys
@@ -22,12 +24,13 @@ use tapeflow_ir::{NodeId, OpClass, Trace};
 /// Per-node mutable scheduling state, fused into one 16-byte entry so the
 /// completion walk touches a single cache line per successor (the old
 /// layout split `ready_time` and `indeg` across two arrays and paid two
-/// random accesses per dependence edge). A run starts from the arena's
-/// [`PreparedSim::pend0`] template with one `memcpy`.
+/// random accesses per dependence edge). A run builds its entries from
+/// the arena's [`PreparedSim::indeg0`] column.
 #[derive(Clone, Copy, Debug)]
 #[repr(C)]
 pub(crate) struct NodeState {
-    /// Latest dependence finish time seen so far.
+    /// Latest dependence finish time seen so far; once the node
+    /// completes, its own finish time.
     pub(crate) ready: u64,
     /// Dependences still outstanding.
     pub(crate) indeg: u32,
@@ -41,12 +44,11 @@ pub(crate) struct NodeState {
 #[derive(Clone, Debug)]
 pub struct PreparedSim {
     pub(crate) n: usize,
-    /// The trace's class, flag, address and byte columns (scratchpad
-    /// accesses carry their entry index as the address).
+    /// The trace's class, flag and address columns and stream sizes
+    /// (scratchpad accesses carry their entry index as the address).
     pub(crate) cols: Arc<NodeColumns>,
-    /// Initial scheduling state per node (`ready = 0`, indegree from the
-    /// trace) — the template each simulation run clones.
-    pub(crate) pend0: Vec<NodeState>,
+    /// Dependence count per node — each run's initial indegrees.
+    pub(crate) indeg0: Vec<u32>,
     /// CSR successor offsets (`n + 1` entries).
     pub(crate) succ_off: Vec<u32>,
     /// CSR successor payload.
@@ -113,7 +115,7 @@ impl PreparedSim {
         }
         let phase_barrier_idx = cols.flags().iter().position(|f| f & FLAG_REV != 0);
 
-        let mut pend0 = Vec::with_capacity(n);
+        let mut indeg0 = Vec::with_capacity(n);
         let mut roots = Vec::new();
         // Successor counts land one slot up (`succ_off[d + 1]`), so the
         // prefix sum below leaves each node's start in `succ_off[d]`.
@@ -123,10 +125,7 @@ impl PreparedSim {
             if deps.is_empty() {
                 roots.push(i as u32);
             }
-            pend0.push(NodeState {
-                ready: 0,
-                indeg: deps.len() as u32,
-            });
+            indeg0.push(deps.len() as u32);
             for d in deps {
                 succ_off[d.index() + 1] += 1;
             }
@@ -152,7 +151,7 @@ impl PreparedSim {
         Ok(PreparedSim {
             n,
             cols,
-            pend0,
+            indeg0,
             succ_off,
             succ_dat,
             roots,
@@ -222,7 +221,7 @@ mod tests {
             |d: usize| &prep.succ_dat[prep.succ_off[d] as usize..prep.succ_off[d + 1] as usize];
         for i in 0..n {
             let deps = trace.deps(NodeId::new(i));
-            assert_eq!(prep.pend0[i].indeg as usize, deps.len(), "node {i}");
+            assert_eq!(prep.indeg0[i] as usize, deps.len(), "node {i}");
             // Every predecessor edge appears exactly once as a successor;
             // with equal totals, the successor lists hold nothing else.
             for d in deps {
@@ -307,7 +306,8 @@ mod tests {
         let prep = check_arena(&trace);
         assert!(prep.has_spad && prep.has_stream);
         assert_eq!(trace.layer_count(), 2);
-        assert_eq!(trace.layers(), [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
+        let layers: Vec<u32> = (0..trace.len()).map(|i| trace.layer(i)).collect();
+        assert_eq!(layers, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
         // The barrier is the first REV node.
         assert_eq!(prep.phase_barrier_idx, Some(5));
         assert_eq!(trace.insts()[5], bar);

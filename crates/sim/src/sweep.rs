@@ -69,8 +69,10 @@ use tapeflow_ir::OpClass;
 /// degrades to "replay or re-run from scratch", still exact).
 const CKPT_BUDGET: usize = 256 << 20;
 /// Conservative per-node cost estimate of one checkpoint (a scheduler
-/// state clone) in bytes: the fused pend/finish arrays plus queue and
-/// event entries.
+/// state clone) in bytes. A clone copies 16 bytes/node of fused
+/// ready/indegree state plus the queue and event entries; the estimate
+/// stays at the 40 set when a clone also copied an 8-byte finish time
+/// per node, so checkpoint plans stay as they were measured.
 const CKPT_NODE_BYTES: usize = 40;
 /// Earliest checkpoint position in accesses — below this the snapshot
 /// costs more than the prefix it saves.
@@ -83,10 +85,12 @@ const CKPT_HARD_CAP: usize = 16;
 /// simulation of the same trace, in percent. Both scale linearly with
 /// node count (the snapshot memcpys the per-node scheduler state, the
 /// simulation visits every node), so the ratio is roughly
-/// scale-invariant; ~30% holds on both the event loop and the
-/// per-cycle core. A checkpoint at access *a* can save at most the
-/// `a / n_mem` prefix of one future resume, so re-records only take
-/// as many snapshots as their expected resume savings can repay.
+/// scale-invariant; ~30% held on both the event loop and the
+/// per-cycle core when a snapshot also copied an 8-byte finish time
+/// per node, and is kept so checkpoint plans do not change. A
+/// checkpoint at access *a* can save at most the `a / n_mem` prefix of
+/// one future resume, so re-records only take as many snapshots as
+/// their expected resume savings can repay.
 const CKPT_COST_PCT: usize = 30;
 /// How much earlier the *next* divergence lands relative to the one
 /// that triggered a re-record, as a divisor on the expected resume
