@@ -1,5 +1,11 @@
 //! Micro-benchmarks for the cycle-level simulator: tracing and
 //! simulation throughput on the Enzyme and Tapeflow programs.
+//!
+//! `simulate` times arena construction plus one run on pathfinder,
+//! whose run state fits in L2; `engine` times `simulate_prepared` alone
+//! on somier at Small and prints ns/node, the figure ROADMAP's per-node
+//! table quotes. Run with `cargo bench -p tapeflow-bench --bench
+//! simulator`.
 
 use tapeflow_bench::microbench::Group;
 use tapeflow_benchmarks::{by_name, Scale};
@@ -47,6 +53,27 @@ fn bench_simulate() {
     }
 }
 
+/// The engine alone: the arena is built once, outside the timed
+/// closure, so each sample is one `simulate_prepared` call on a trace
+/// whose run state (8 B/node) is far larger than L2.
+fn bench_engine() {
+    let group = Group::new("engine", 10);
+    for (label, tf) in [("enzyme", false), ("tapeflow", true)] {
+        let prep = PreparedSim::new(&traced("somier", tf)).expect("fits the arena limits");
+        let cfg = SystemConfig::baseline_32k();
+        let t = group.bench(format!("somier/{label}"), || {
+            simulate_prepared(&prep, &cfg, &SimOptions::default())
+        });
+        let per_node = |d: std::time::Duration| d.as_nanos() as f64 / prep.len() as f64;
+        println!(
+            "engine/somier/{label:<17} {} nodes  min {:>6.1} ns/node  median {:>6.1} ns/node",
+            prep.len(),
+            per_node(t.min),
+            per_node(t.median)
+        );
+    }
+}
+
 fn bench_trace_extraction() {
     let group = Group::new("trace-extraction", 10);
     for name in ["logsum", "pathfinder", "mttkrp"] {
@@ -56,5 +83,6 @@ fn bench_trace_extraction() {
 
 fn main() {
     bench_simulate();
+    bench_engine();
     bench_trace_extraction();
 }

@@ -8,6 +8,15 @@
 
 use std::time::{Duration, Instant};
 
+/// The fastest and the median sample of one benchmark.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Fastest sample.
+    pub min: Duration,
+    /// Median sample.
+    pub median: Duration,
+}
+
 /// A named group of timed benchmarks.
 #[derive(Debug)]
 pub struct Group {
@@ -26,8 +35,9 @@ impl Group {
         }
     }
 
-    /// Times `f` for this group's sample count and prints one line.
-    pub fn bench<R>(&self, id: impl AsRef<str>, mut f: impl FnMut() -> R) {
+    /// Times `f` for this group's sample count, prints one line and
+    /// returns the fastest and median samples.
+    pub fn bench<R>(&self, id: impl AsRef<str>, mut f: impl FnMut() -> R) -> Timing {
         let _ = f(); // warm-up (also forces lazy setup)
         let mut times: Vec<Duration> = (0..self.samples)
             .map(|_| {
@@ -48,5 +58,6 @@ impl Group {
             median,
             mean
         );
+        Timing { min, median }
     }
 }

@@ -42,14 +42,17 @@
 //! from in-flight state, preserving `sum(attributed) == cycles * PEs`.
 //!
 //! Both loops run on one scheduler state (`SchedState`), which holds
-//! everything either loop mutates except the cache. Its `Clone` is the
+//! everything either loop mutates except the cache. Per node it is one
+//! 8-byte word packing the latest dependence finish time (40 bits,
+//! hence [`FINISH_LIMIT`]) with the outstanding dependence count (24
+//! bits; larger counts wait in a side table). Its `Clone` is the
 //! checkpoint [`crate::sweep`] resumes from, and one crate-private
 //! function (`run_unprobed`) runs any unprobed simulation from a fresh
 //! or cloned state on whichever loop the trace and config select.
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};
-use crate::prep::{NodeState, PreparedSim};
+use crate::prep::{PreparedSim, FINISH_LIMIT};
 use crate::probe::{CacheAccessEvent, NoProbe, ProbeGeometry, SimProbe};
 use crate::report::{EnergyReport, SimReport};
 use std::collections::{BinaryHeap, VecDeque};
@@ -100,6 +103,10 @@ impl Dram {
 /// [`PreparedSim::new`] (which fails with [`crate::SimError`] when the
 /// trace exceeds the scheduler's 32-bit index limits), then simulate
 /// every configuration.
+///
+/// # Panics
+///
+/// When a finish time reaches [`FINISH_LIMIT`] (`2^40` cycles).
 pub fn simulate_prepared(prep: &PreparedSim, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
     simulate_prepared_probed(prep, cfg, opts, &mut NoProbe)
 }
@@ -218,6 +225,39 @@ impl IssueSrv {
     }
 }
 
+/// Low bits of a run-state word that count a node's outstanding
+/// dependences; the bits above hold its latest dependence finish time
+/// (after it completes, its own). 24 bits cover every registry trace:
+/// a node's dependences are distinct earlier nodes, and the largest
+/// trace (gravity's Tflow form at Large) has 6.3 M nodes in all. Unit
+/// tests use 3 bits so that their barriers take the wide path.
+const IND_BITS: u32 = if cfg!(test) { 3 } else { 24 };
+const IND_MASK: u64 = (1 << IND_BITS) - 1;
+/// Indegree field value meaning "the count lives in `SchedState::wide`":
+/// nodes whose initial indegree reaches it keep their count in the
+/// side table until it drops below, then move it back into the word.
+const IND_WIDE: u64 = IND_MASK;
+
+/// Counts one finished dependence of wide node `s` in `wide` and
+/// returns the indegree field its word takes: [`IND_WIDE`] while the
+/// count stays at or above it, else the count itself, whose entry
+/// leaves the table.
+#[cold]
+#[inline(never)]
+fn wide_done(wide: &mut Vec<(u32, u32)>, s: u32) -> u64 {
+    let i = wide
+        .binary_search_by_key(&s, |&(node, _)| node)
+        .expect("a node whose field holds the sentinel has a side-table entry");
+    wide[i].1 -= 1;
+    let left = u64::from(wide[i].1);
+    if left < IND_WIDE {
+        wide.remove(i);
+        left
+    } else {
+        IND_WIDE
+    }
+}
+
 /// The scheduler's complete mutable state, shared by both loops —
 /// everything they touch except the cache, which an incremental
 /// re-simulation rebuilds by replaying the recorded access prefix
@@ -229,10 +269,17 @@ impl IssueSrv {
 /// whose `stream` and `cache_timing` classes match.
 #[derive(Clone)]
 pub(crate) struct SchedState {
-    /// Fused (ready, indeg) state, one random access per dependence
-    /// edge in the completion walk. A completed node's `ready` holds its
-    /// finish time: nothing reads a node's readiness once it has issued.
-    pend: Vec<NodeState>,
+    /// One 8-byte word per node, `ready << IND_BITS | indeg`: the
+    /// latest dependence finish time seen and the dependences still
+    /// outstanding, so the completion walk makes one random access per
+    /// dependence edge. A completed node's word holds its finish time:
+    /// nothing reads a node's readiness once it has issued. Exact while
+    /// every finish time is below [`FINISH_LIMIT`], which `finalize`
+    /// checks on `max_finish`.
+    pend: Vec<u64>,
+    /// `(node, outstanding)` for the nodes whose indegree field holds
+    /// [`IND_WIDE`], sorted by node. Empty on every registry trace.
+    pub(crate) wide: Vec<(u32, u32)>,
     events: EventQ,
     /// Per-class in-order wait queues (per-cycle core only).
     q_fp: VecDeque<u32>,
@@ -270,7 +317,12 @@ impl SchedState {
             pend: prep
                 .indeg0
                 .iter()
-                .map(|&indeg| NodeState { ready: 0, indeg })
+                .map(|&k| u64::from(k).min(IND_WIDE))
+                .collect(),
+            wide: (0u32..)
+                .zip(&prep.indeg0)
+                .filter(|&(_, &k)| u64::from(k) >= IND_WIDE)
+                .map(|(i, &k)| (i, k))
                 .collect(),
             events,
             q_fp: VecDeque::with_capacity(64),
@@ -290,6 +342,33 @@ impl SchedState {
             max_finish: 0,
             accesses: 0,
         }
+    }
+
+    /// Records node `id` as finished at `fin`.
+    #[inline(always)]
+    fn node_done(&mut self, id: usize, fin: u64) {
+        self.pend[id] = fin << IND_BITS;
+        self.max_finish = self.max_finish.max(fin);
+        self.completed += 1;
+    }
+
+    /// A finished node's finish time.
+    fn finish_time(&self, id: usize) -> u64 {
+        self.pend[id] >> IND_BITS
+    }
+
+    /// Counts one dependence of node `s` done at `fin`; returns `s`'s
+    /// ready time once that was its last outstanding one.
+    #[inline(always)]
+    fn dep_done(&mut self, s: u32, fin: u64) -> Option<u64> {
+        let w = self.pend[s as usize];
+        let ready = (w >> IND_BITS).max(fin);
+        let indeg = match w & IND_MASK {
+            IND_WIDE => wide_done(&mut self.wide, s),
+            k => k - 1,
+        };
+        self.pend[s as usize] = ready << IND_BITS | indeg;
+        (indeg == 0).then_some(ready)
     }
 }
 
@@ -370,22 +449,13 @@ fn core_loop<P: SimProbe, const REC: bool>(
         ($id:expr, $fin:expr, $merge:expr) => {{
             let id = $id as usize;
             let fin: u64 = $fin;
-            st.pend[id].ready = fin;
-            st.max_finish = st.max_finish.max(fin);
-            st.completed += 1;
+            st.node_done(id, fin);
             if phase_barrier_idx == Some(id) {
                 probe.on_phase_barrier(fin);
             }
             for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
-                let si = *s as usize;
-                let p = &mut st.pend[si];
-                if p.ready < fin {
-                    p.ready = fin;
-                }
-                p.indeg -= 1;
-                let (ready, indeg) = (p.ready, p.indeg);
-                if indeg == 0 {
-                    if phase_barrier_idx == Some(si) {
+                if let Some(ready) = st.dep_done(*s, fin) {
+                    if phase_barrier_idx == Some(*s as usize) {
                         probe.on_barrier_ready(st.now, ready, *s);
                     }
                     if $merge && ready == st.now {
@@ -694,17 +764,25 @@ fn core_loop<P: SimProbe, const REC: bool>(
 /// cycles, the end-of-run dirty flush, energy, and (on request) per-node
 /// finish times.
 fn finalize(
-    st: SchedState,
+    mut st: SchedState,
     cache: Cache,
     prep: &PreparedSim,
     cfg: &SystemConfig,
     opts: &SimOptions,
 ) -> SimReport {
-    let mut report = st.report;
+    // Every packed word holds a finish time no later than `max_finish`,
+    // so all of them are exact when it is.
+    assert!(
+        st.max_finish < FINISH_LIMIT,
+        "a simulated finish time of {} cycles reaches the scheduler's \
+         limit of 2^40 = {FINISH_LIMIT} cycles",
+        st.max_finish
+    );
+    let mut report = std::mem::take(&mut st.report);
     report.cycles = st.max_finish;
     report.fwd_cycles = prep
         .phase_barrier_idx
-        .map_or(st.max_finish, |i| st.pend[i].ready);
+        .map_or(st.max_finish, |i| st.finish_time(i));
     // Cool-down: lines still dirty when the run ends must reach DRAM
     // eventually. Charge those write-backs to traffic exactly once —
     // this happens before energy accounting so the DRAM energy sees
@@ -718,7 +796,7 @@ fn finalize(
 
     recompute_energy(&mut report, cfg);
     if opts.record_node_times {
-        report.node_finish = Some(st.pend.iter().map(|p| p.ready).collect());
+        report.node_finish = Some((0..prep.n).map(|i| st.finish_time(i)).collect());
     }
     report
 }
@@ -1062,7 +1140,7 @@ impl Recording {
 
     /// Drops everything past checkpoint `keep` so the tail can be
     /// re-recorded from there. The re-recorded tail takes **no new
-    /// checkpoints**: each clones the per-node `pend` array (16
+    /// checkpoints**: each clones the per-node `pend` array (8
     /// bytes/node) plus the event queue, and on a monotone
     /// ladder every later divergence lands at or before this one,
     /// where the surviving prefix checkpoints already serve.
@@ -1132,23 +1210,13 @@ fn dataflow_loop<const REC: bool>(
             ($id:expr, $fin:expr) => {{
                 let id = $id as usize;
                 let fin: u64 = $fin;
-                st.pend[id].ready = fin;
-                if fin > st.max_finish {
-                    st.max_finish = fin;
-                }
-                st.completed += 1;
+                st.node_done(id, fin);
                 for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
-                    let si = *s as usize;
-                    let p = &mut st.pend[si];
-                    if p.ready < fin {
-                        p.ready = fin;
-                    }
-                    p.indeg -= 1;
-                    if p.indeg == 0 {
-                        if p.ready == t {
+                    if let Some(ready) = st.dep_done(*s, fin) {
+                        if ready == t {
                             side.push(std::cmp::Reverse(*s));
                         } else {
-                            st.events.push(p.ready, *s);
+                            st.events.push(ready, *s);
                         }
                     }
                 }
@@ -1490,6 +1558,47 @@ mod tests {
         let r2 = sim_of(build, &cfg);
         assert_eq!(r2.cache.writebacks, 2);
         assert_eq!(r2.dram_writeback_bytes, r.dram_writeback_bytes);
+    }
+
+    /// A load that misses, then an add of the loaded value, on the
+    /// default machine with `dram_latency`; reports node finish times.
+    fn miss_then_add(dram_latency: u64) -> SimReport {
+        let trace = trace_of(|b| {
+            let x = b.array("x", 1, ArrayKind::Input, Scalar::F64);
+            let z = b.i64(0);
+            let v = b.load(x, z);
+            let _ = b.fadd(v, v);
+        });
+        let mut cfg = SystemConfig::default();
+        cfg.dram.latency = dram_latency;
+        let opts = SimOptions {
+            record_node_times: true,
+        };
+        sim_trace(&trace, &cfg, &opts)
+    }
+
+    /// The DRAM latency whose run ends on cycle `FINISH_LIMIT - 1`: the
+    /// last finish time moves one for one with the latency.
+    fn latency_ending_just_under_the_limit() -> u64 {
+        let base = miss_then_add(100).cycles;
+        FINISH_LIMIT - 1 - (base - 100)
+    }
+
+    #[test]
+    fn finish_times_just_under_the_limit_stay_exact() {
+        let r = miss_then_add(latency_ending_just_under_the_limit());
+        assert_eq!(r.cycles, FINISH_LIMIT - 1);
+        let times = r.node_finish.unwrap();
+        assert_eq!(times.iter().max(), Some(&(FINISH_LIMIT - 1)));
+        // The add finishes its latency after the load it waited for.
+        let fp = SystemConfig::default().pe.fp_alu_latency;
+        assert!(times.contains(&(FINISH_LIMIT - 1 - fp)), "{times:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 2^40")]
+    fn a_finish_time_past_the_limit_panics() {
+        miss_then_add(latency_ending_just_under_the_limit() + 1);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use config::{
 };
 pub use engine::{simulate_prepared, simulate_prepared_probed, SimOptions};
 pub use error::SimError;
-pub use prep::PreparedSim;
+pub use prep::{PreparedSim, FINISH_LIMIT};
 pub use probe::{
     AttributionProbe, CycleBreakdown, InstBreakdown, NoProbe, ProbeGeometry, SamplingProbe,
     SimProbe, StallKind, TraceRecorder,

@@ -21,20 +21,17 @@ use std::sync::Arc;
 use tapeflow_ir::trace::{NodeColumns, EDGE_LIMIT, FLAG_REV};
 use tapeflow_ir::{NodeId, OpClass, Trace};
 
-/// Per-node mutable scheduling state, fused into one 16-byte entry so the
-/// completion walk touches a single cache line per successor (the old
-/// layout split `ready_time` and `indeg` across two arrays and paid two
-/// random accesses per dependence edge). A run builds its entries from
-/// the arena's [`PreparedSim::indeg0`] column.
-#[derive(Clone, Copy, Debug)]
-#[repr(C)]
-pub(crate) struct NodeState {
-    /// Latest dependence finish time seen so far; once the node
-    /// completes, its own finish time.
-    pub(crate) ready: u64,
-    /// Dependences still outstanding.
-    pub(crate) indeg: u32,
-}
+/// Finish times the scheduler can hold, exclusive: a run keeps each
+/// node's latest dependence finish time in the upper 40 bits of its
+/// 8-byte run-state word (the low 24 count outstanding dependences), so
+/// a time of `2^40` cycles or more would be truncated. The run tracks
+/// its largest finish time untruncated and panics when it reaches this
+/// bound instead of reporting a wrong schedule. At 2 GHz the bound is
+/// about nine simulated minutes; the longest run in the checked-in
+/// Small results takes 4.2 M cycles. Node and edge counts are bounded
+/// separately by [`PreparedSim::check_limits`] (edges by
+/// [`EDGE_LIMIT`]).
+pub const FINISH_LIMIT: u64 = 1 << 40;
 
 /// A [`Trace`] preprocessed for simulation: the trace's shared node
 /// columns plus the dependence CSR, independent of any `SystemConfig`.
@@ -47,7 +44,8 @@ pub struct PreparedSim {
     /// The trace's class, flag and address columns and stream sizes
     /// (scratchpad accesses carry their entry index as the address).
     pub(crate) cols: Arc<NodeColumns>,
-    /// Dependence count per node — each run's initial indegrees.
+    /// Dependence count per node — each run's initial indegrees, which
+    /// `engine::SchedState::new` packs into its 8-byte run-state words.
     pub(crate) indeg0: Vec<u32>,
     /// CSR successor offsets (`n + 1` entries).
     pub(crate) succ_off: Vec<u32>,

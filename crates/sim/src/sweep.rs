@@ -69,10 +69,10 @@ use tapeflow_ir::OpClass;
 /// degrades to "replay or re-run from scratch", still exact).
 const CKPT_BUDGET: usize = 256 << 20;
 /// Conservative per-node cost estimate of one checkpoint (a scheduler
-/// state clone) in bytes. A clone copies 16 bytes/node of fused
-/// ready/indegree state plus the queue and event entries; the estimate
-/// stays at the 40 set when a clone also copied an 8-byte finish time
-/// per node, so checkpoint plans stay as they were measured.
+/// state clone) in bytes. A clone copies one 8-byte ready/indegree
+/// word per node plus the queue and event entries; the estimate stays
+/// at the 40 set when a clone copied 24 bytes per node, so checkpoint
+/// plans stay as they were measured.
 const CKPT_NODE_BYTES: usize = 40;
 /// Earliest checkpoint position in accesses — below this the snapshot
 /// costs more than the prefix it saves.
@@ -86,8 +86,8 @@ const CKPT_HARD_CAP: usize = 16;
 /// node count (the snapshot memcpys the per-node scheduler state, the
 /// simulation visits every node), so the ratio is roughly
 /// scale-invariant; ~30% held on both the event loop and the
-/// per-cycle core when a snapshot also copied an 8-byte finish time
-/// per node, and is kept so checkpoint plans do not change. A
+/// per-cycle core when a snapshot copied 24 bytes per node (three
+/// times today's), and is kept so checkpoint plans do not change. A
 /// checkpoint at access *a* can save at most the `a / n_mem` prefix of
 /// one future resume, so re-records only take as many snapshots as
 /// their expected resume savings can repay.
@@ -684,6 +684,45 @@ mod tests {
                 assert_eq!(resumed.node_finish, fresh.node_finish, "access {at}");
             }
         }
+    }
+
+    #[test]
+    fn resumes_from_a_checkpoint_inside_a_wide_count() {
+        // Unit tests keep 3 indegree bits per run-state word, so each
+        // barrier of the phased trace (one dependence per node since
+        // the last barrier) keeps its count in the side table. Resume
+        // from every checkpoint taken while such a count was partly
+        // done: the table must travel with the clone.
+        let opts = SimOptions {
+            record_node_times: true,
+        };
+        let cfg = SystemConfig::with_cache_bytes(2048);
+        let trace = mixed_trace_with(4, 128, true);
+        let prep = PreparedSim::new(&trace).unwrap();
+        let fresh = cold_run(&trace, &cfg, &opts);
+        let mut rec = Recording::new(4, CKPT_HARD_CAP, prep.n_mem, u64::MAX);
+        run_unprobed::<true>(
+            &prep,
+            &cfg,
+            &opts,
+            SchedState::new(&prep, &cfg),
+            Cache::new(cfg.cache),
+            &mut rec,
+        );
+        let mut resumed = 0;
+        for ckpt in &rec.ckpts {
+            let partly = |&(node, left): &(u32, u32)| left < prep.indeg0[node as usize];
+            if !ckpt.wide.iter().any(partly) {
+                continue;
+            }
+            let cache = replay_prefix(&cfg, &rec.addrs[..ckpt.accesses as usize]);
+            let mut off = Recording::disabled();
+            let r = run_unprobed::<false>(&prep, &cfg, &opts, ckpt.clone(), cache, &mut off);
+            assert_eq!(r.to_json().render(), fresh.to_json().render());
+            assert_eq!(r.node_finish, fresh.node_finish);
+            resumed += 1;
+        }
+        assert!(resumed > 0, "no checkpoint caught a wide count midway");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The ledger: a `PreparedSim` holds the trace's shared column block
 //! (an `Arc` clone, no allocation) plus 4 bytes of initial indegree and
 //! 4 of successor offset per node, 4 per dependence edge and the root
-//! list. One simulation's run state is a 16-byte ready/indegree word
-//! per node; the event wheel, wait queues, MSHRs and cache come on top
-//! and do not grow with the trace.
+//! list. One simulation's run state is an 8-byte ready/indegree word
+//! per node (plus a side table for nodes with 2^24 - 1 or more
+//! dependences, which no registry trace has); the event wheel, wait
+//! queues, MSHRs and cache come on top and do not grow with the trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,7 +106,7 @@ const RUN_FIXED: usize = 160 << 10;
 
 /// Checks the bytes `PreparedSim::new` keeps for `trace` against the
 /// arena's exact ledger, and the peak bytes one simulation allocates
-/// against 16 per node plus [`RUN_FIXED`].
+/// against 8 per node plus [`RUN_FIXED`].
 fn check_footprint(label: &str, trace: &Trace) {
     let n = trace.len();
     let edges = trace.edge_count();
@@ -132,13 +133,13 @@ fn check_footprint(label: &str, trace: &Trace) {
     let peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(report.cycles > 0);
     eprintln!(
-        "{label}: one run peaks at {peak} B ({:.2} B/node; {} B above 16 B/node)",
+        "{label}: one run peaks at {peak} B ({:.2} B/node; {} B above 8 B/node)",
         peak as f64 / n as f64,
-        peak as isize - 16 * n as isize
+        peak as isize - 8 * n as isize
     );
     assert!(
-        peak <= 16 * n + RUN_FIXED,
-        "{label}: run state over 16 B/node"
+        peak <= 8 * n + RUN_FIXED,
+        "{label}: run state over 8 B/node"
     );
 }
 
