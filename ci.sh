@@ -299,4 +299,27 @@ if ! diff -u results/BENCH_experiments_tiny.json \
     exit 1
 fi
 
+echo "== experiments regression (small scale, stable JSON) =="
+# The tiny batches above are too small for same-cycle ties between
+# nodes the schedule-ordered arena numbers out of trace order, so pin
+# the Small schedules too: regenerate the checked-in Small reference
+# and compare both sides with every wall-clock field and the job count
+# zeroed.
+cargo run --release -p tapeflow-bench --bin experiments -- \
+    all --scale small --jobs 2 --stable-json \
+    --json target/ci/BENCH_experiments_small.json > /dev/null
+python3 - results/BENCH_experiments.json target/ci/BENCH_experiments_small.json <<'EOF'
+import json, sys
+def scrub(v):
+    if isinstance(v, dict):
+        return {k: 0 if ("seconds" in k or k == "jobs") else scrub(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [scrub(x) for x in v]
+    return v
+ref, fresh = (scrub(json.load(open(p))) for p in sys.argv[1:3])
+assert ref == fresh, "Small experiments drifted from results/BENCH_experiments.json; " \
+    "if intended, regenerate it with: ./target/release/experiments all " \
+    "--csv results --json results/BENCH_experiments.json"
+EOF
+
 echo "CI green."

@@ -2,9 +2,10 @@
 //! simulation throughput on the Enzyme and Tapeflow programs.
 //!
 //! `simulate` times arena construction plus one run on pathfinder,
-//! whose run state fits in L2; `engine` times `simulate_prepared` alone
-//! on somier at Small and prints ns/node, the figure ROADMAP's per-node
-//! table quotes. Run with `cargo bench -p tapeflow-bench --bench
+//! whose run state fits in L2; `engine` times `PreparedSim::new`,
+//! `PreparedSim::in_schedule_order` and `simulate_prepared` on both
+//! numberings separately on somier at Small and prints them per node,
+//! the figures ROADMAP's per-node table quotes. Run with `cargo bench -p tapeflow-bench --bench
 //! simulator`.
 
 use tapeflow_bench::microbench::Group;
@@ -53,23 +54,44 @@ fn bench_simulate() {
     }
 }
 
-/// The engine alone: the arena is built once, outside the timed
-/// closure, so each sample is one `simulate_prepared` call on a trace
-/// whose run state (8 B/node) is far larger than L2.
+/// The arena builds and the engine apart, on a trace whose run state
+/// (8 B/node) is far larger than L2: `prep` is one `PreparedSim::new`,
+/// `order` one `in_schedule_order` of its result, and `run` and
+/// `run-ordered` one `simulate_prepared` on each numbering, with the
+/// arenas built outside the timed closures. The break-even is the
+/// renumbering's cost in the runs it saves (medians): a sweep of more
+/// configurations than that gains from renumbering its arena.
 fn bench_engine() {
     let group = Group::new("engine", 10);
     for (label, tf) in [("enzyme", false), ("tapeflow", true)] {
-        let prep = PreparedSim::new(&traced("somier", tf)).expect("fits the arena limits");
-        let cfg = SystemConfig::baseline_32k();
-        let t = group.bench(format!("somier/{label}"), || {
-            simulate_prepared(&prep, &cfg, &SimOptions::default())
+        let trace = traced("somier", tf);
+        let build = group.bench(format!("somier/{label}/prep"), || {
+            PreparedSim::new(&trace).expect("fits the arena limits")
         });
-        let per_node = |d: std::time::Duration| d.as_nanos() as f64 / prep.len() as f64;
+        let plain = PreparedSim::new(&trace).expect("fits the arena limits");
+        drop(trace);
+        let order = group.bench(format!("somier/{label}/order"), || {
+            plain.in_schedule_order()
+        });
+        let ordered = plain.in_schedule_order();
+        let cfg = SystemConfig::baseline_32k();
+        let run = group.bench(format!("somier/{label}/run"), || {
+            simulate_prepared(&plain, &cfg, &SimOptions::default())
+        });
+        let run_ordered = group.bench(format!("somier/{label}/run-ordered"), || {
+            simulate_prepared(&ordered, &cfg, &SimOptions::default())
+        });
+        let per_node = |d: std::time::Duration| d.as_nanos() as f64 / plain.len() as f64;
+        let saved = run.median.as_secs_f64() - run_ordered.median.as_secs_f64();
         println!(
-            "engine/somier/{label:<17} {} nodes  min {:>6.1} ns/node  median {:>6.1} ns/node",
-            prep.len(),
-            per_node(t.min),
-            per_node(t.median)
+            "engine/somier/{label:<9} {} nodes  median ns/node: prep {:.1} order {:.1} \
+             run {:.1} run-ordered {:.1}  break-even {:.2} runs",
+            plain.len(),
+            per_node(build.median),
+            per_node(order.median),
+            per_node(run.median),
+            per_node(run_ordered.median),
+            order.median.as_secs_f64() / saved
         );
     }
 }
@@ -82,7 +104,16 @@ fn bench_trace_extraction() {
 }
 
 fn main() {
-    bench_simulate();
-    bench_engine();
-    bench_trace_extraction();
+    // `cargo bench --bench simulator -- engine` runs the one group.
+    let only = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let groups: [(&str, fn()); 3] = [
+        ("simulate", bench_simulate),
+        ("engine", bench_engine),
+        ("trace-extraction", bench_trace_extraction),
+    ];
+    for (name, run) in groups {
+        if only.as_deref().is_none_or(|o| o == name) {
+            run();
+        }
+    }
 }

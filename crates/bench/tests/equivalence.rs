@@ -78,35 +78,57 @@ fn observe(
     }
 }
 
-/// Asserts that the event core and the oracle agree on every observable
-/// output of `trace` on `sys`; returns what the event core showed.
+/// Asserts that the event core, on the arena in trace order and in
+/// schedule order, and the oracle agree on every observable output of
+/// `trace` on `sys`, node finish times included; returns what the event
+/// core showed on the schedule-ordered arena.
 fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> Observed {
     let opts = SimOptions::default();
-    let event = observe(label, trace, |p| {
-        PreparedSim::new(trace).map(|prep| simulate_prepared_probed(&prep, sys, &opts, p))
-    });
+    let timed = SimOptions {
+        record_node_times: true,
+    };
+    let plain = PreparedSim::new(trace).expect("arena");
+    let ordered = plain.in_schedule_order();
     let oracle = observe(label, trace, |p| {
         oracle::simulate_probed(trace, sys, &opts, p)
     });
-    assert_eq!(
-        event.report.to_json().render(),
-        oracle.report.to_json().render(),
-        "{label}: report JSON differs"
-    );
-    assert_eq!(
-        event.stalls.to_json().render(),
-        oracle.stalls.to_json().render(),
-        "{label}: stall attribution differs"
-    );
-    assert!(
-        event.per_inst == oracle.per_inst,
-        "{label}: engines disagree on per-inst attribution"
-    );
-    assert_eq!(
-        event.timeline, oracle.timeline,
-        "{label}: chrome trace differs"
-    );
-    event
+    let times = oracle::simulate_probed(trace, sys, &timed, &mut NoProbe)
+        .expect("oracle run")
+        .node_finish;
+    let mut seen = None;
+    for (order, prep) in [("trace order", &plain), ("schedule order", &ordered)] {
+        // Same process name on every run: the Chrome traces can only
+        // differ if the simulated timelines differ.
+        let event = observe(label, trace, |p| {
+            Ok(simulate_prepared_probed(prep, sys, &opts, p))
+        });
+        let label = format!("{label} ({order})");
+        assert_eq!(
+            simulate_prepared(prep, sys, &timed).node_finish,
+            times,
+            "{label}: node finish times differ"
+        );
+        assert_eq!(
+            event.report.to_json().render(),
+            oracle.report.to_json().render(),
+            "{label}: report JSON differs"
+        );
+        assert_eq!(
+            event.stalls.to_json().render(),
+            oracle.stalls.to_json().render(),
+            "{label}: stall attribution differs"
+        );
+        assert!(
+            event.per_inst == oracle.per_inst,
+            "{label}: engines disagree on per-inst attribution"
+        );
+        assert_eq!(
+            event.timeline, oracle.timeline,
+            "{label}: chrome trace differs"
+        );
+        seen = Some(event);
+    }
+    seen.expect("two numberings ran")
 }
 
 /// Traces a hand-built function.
@@ -198,6 +220,54 @@ fn reports_attributions_and_traces_match_across_engines() {
         "bank 0's backlog must stall: {:?}",
         seen.stalls
     );
+}
+
+#[test]
+fn same_cycle_ties_break_in_trace_order() {
+    // Sixty adds wait on a chain of three multiplies (nominal level 12)
+    // and come first in the trace; sixty more wait on one cache miss
+    // (nominal level 2, the hit latency) and come after them. The DRAM
+    // latency is set so the miss lands when the chain ends: all 120
+    // become ready in one cycle on the FP queue, 32 wide, and the
+    // schedule-ordered arena numbers the late adds first. Issue order
+    // must still follow the trace.
+    let build = |b: &mut FunctionBuilder| {
+        let x = b.array("x", 1, ArrayKind::Input, Scalar::F64);
+        let zero = b.i64(0);
+        let missed = b.load(x, zero);
+        let two = b.f64(2.0);
+        let mut chain = two;
+        for _ in 0..3 {
+            chain = b.fmul(chain, two);
+        }
+        for _ in 0..60 {
+            let _ = b.fadd(chain, two);
+        }
+        for _ in 0..60 {
+            let _ = b.fadd(missed, two);
+        }
+    };
+    let trace = trace_of(build);
+    let timed = SimOptions {
+        record_node_times: true,
+    };
+    let mut cfg = SystemConfig::default();
+    let finish = |cfg: &SystemConfig| {
+        let prep = PreparedSim::new(&trace).expect("arena");
+        simulate_prepared(&prep, cfg, &timed).node_finish.unwrap()
+    };
+    // Nodes 0..4 are the load and the chain; the miss finishes one for
+    // one with the DRAM latency.
+    let times = finish(&cfg);
+    cfg.dram.latency = cfg.dram.latency + times[3] - times[0];
+    let times = finish(&cfg);
+    assert_eq!(times[0], times[3], "the miss and the chain end together");
+    let r = assert_engines_agree("same-cycle tie", &trace, &cfg).report;
+    assert_eq!(r.fp_ops, 123);
+    // The first 32 adds in the trace take the first issue cycle.
+    let times = finish(&cfg);
+    assert!(times[4..36].iter().all(|&t| t == times[4]));
+    assert!(times[36..].iter().all(|&t| t > times[4]));
 }
 
 #[test]

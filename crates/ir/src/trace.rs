@@ -19,8 +19,8 @@
 //!
 //! Per-node metadata is stored as columns, each filled by a plain push.
 //! The columns the simulator reads (class, flags, address) form one
-//! [`NodeColumns`] block behind an `Arc`, which the simulator's arena
-//! shares instead of copying; the instruction column sits beside it.
+//! [`NodeColumns`] block, which the simulator's arena packs into its
+//! own layout; the instruction column sits beside it.
 //! Metadata that is constant on almost every node is not a column: a
 //! node's byte count follows from its class except on streams, which
 //! keep theirs in a sparse list, and its layer follows from the sorted
@@ -41,7 +41,6 @@ use crate::ids::{InstId, NodeId};
 use crate::interp::{execute, spad_entries, ExecError, ExecHook, MemEffect};
 use crate::memory::{Memory, DRAM_BASE};
 use crate::ops::{Op, OpClass};
-use std::sync::Arc;
 
 /// Which half of the gradient program a node belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -71,8 +70,7 @@ pub const FLAG_STREAM_IN: u8 = 1 << 2;
 
 /// The per-node columns a simulator arena reads, indexed by node id and
 /// all of the trace's length, plus the transfer size of every stream.
-/// A [`Trace`] holds them behind an [`Arc`] so an arena built from it
-/// shares them instead of copying them (see [`Trace::columns`]).
+/// See [`Trace::columns`].
 #[derive(Clone, Debug, Default)]
 pub struct NodeColumns {
     class: Vec<OpClass>,
@@ -140,7 +138,7 @@ impl NodeColumns {
 pub struct Trace {
     /// Name of the traced function.
     pub name: String,
-    cols: Arc<NodeColumns>,
+    cols: NodeColumns,
     /// The static instruction each node executed.
     insts: Vec<InstId>,
     /// The `SAlloc` nodes, each opening the next layer, in id order.
@@ -155,7 +153,7 @@ impl Trace {
     /// The class, flag and address columns and the stream sizes, in
     /// execution order (a valid topological order).
     #[inline]
-    pub fn columns(&self) -> &Arc<NodeColumns> {
+    pub fn columns(&self) -> &NodeColumns {
         &self.cols
     }
 
@@ -511,8 +509,8 @@ pub fn trace_function(
     let tracer = Tracer::new(func, mem, opts);
     let (mut tracer, _count) = execute(func, mem, tracer)?;
     check_edges(tracer.dep_dat.len())?;
-    // An arena sharing the columns may outlive the trace; keep no
-    // growth slack alive with them.
+    // A trace may be kept for a whole experiment run; keep no growth
+    // slack alive with its columns.
     let cols = &mut tracer.cols;
     cols.class.shrink_to_fit();
     cols.flags.shrink_to_fit();
@@ -520,7 +518,7 @@ pub fn trace_function(
     cols.streams.shrink_to_fit();
     Ok(Trace {
         name: func.name.clone(),
-        cols: Arc::new(tracer.cols),
+        cols: tracer.cols,
         insts: tracer.insts,
         salloc: tracer.salloc,
         dep_off: tracer.dep_off,

@@ -12,10 +12,15 @@
 //! ## Host-throughput architecture
 //!
 //! The scheduler runs off a [`PreparedSim`] arena — config-independent
-//! and built once per trace: the trace's own per-node class, flag and
-//! address columns and stream sizes (shared, not copied), plus the
-//! successor CSR and initial indegrees — reused across an entire
-//! parameter sweep. The hot loop reads only that arena, keeps a single
+//! and built once per trace, then reused across an entire parameter
+//! sweep. A sweep session renumbers its arena in ASAP-level order
+//! ([`PreparedSim::in_schedule_order`]), roughly the order the scheduler
+//! visits nodes, so a completion's successor walk and each drained batch
+//! touch nearby entries of the per-node arrays rather than random ones.
+//! Under any numbering every node keeps its trace id as its key: the
+//! loops order each same-cycle batch by key, which is the trace order
+//! the schedule is defined in, and report keys to probes and in
+//! `node_finish`. The hot loop reads only that arena, keeps a single
 //! reusable conflict scratch buffer instead of a per-cycle allocation,
 //! and **gap-skips**: whenever nothing can issue before the next
 //! engine-free or node-ready boundary, time jumps straight there
@@ -188,7 +193,7 @@ fn analytic_ok(cfg: &SystemConfig) -> bool {
 
 /// Analytic in-order issue server for a width-limited resource.
 ///
-/// The event heap pops ready nodes in `(cycle, id)` order — exactly the
+/// The event heap pops ready nodes in `(cycle, key)` order — exactly the
 /// order they would have entered the corresponding in-order issue queue
 /// (the per-cycle loop drains the heap into the queues in that same
 /// order, and arrival cycles are non-decreasing over a run). A width-`w`
@@ -358,18 +363,28 @@ impl SchedState {
     }
 
     /// Counts one dependence of node `s` done at `fin`; returns `s`'s
-    /// ready time once that was its last outstanding one.
+    /// ready time once that was its last outstanding one. Borrows `s`'s
+    /// word once, so the walk pays one bounds check per edge.
     #[inline(always)]
     fn dep_done(&mut self, s: u32, fin: u64) -> Option<u64> {
-        let w = self.pend[s as usize];
-        let ready = (w >> IND_BITS).max(fin);
-        let indeg = match w & IND_MASK {
-            IND_WIDE => wide_done(&mut self.wide, s),
+        let SchedState { pend, wide, .. } = self;
+        let w = &mut pend[s as usize];
+        let ready = (*w >> IND_BITS).max(fin);
+        let indeg = match *w & IND_MASK {
+            IND_WIDE => wide_done(wide, s),
             k => k - 1,
         };
-        self.pend[s as usize] = ready << IND_BITS | indeg;
+        *w = ready << IND_BITS | indeg;
         (indeg == 0).then_some(ready)
     }
+}
+
+/// A node's place in a same-cycle batch: its key (trace id) above its
+/// arena id, so sorting the words orders the batch by key and the low
+/// half recovers the node.
+#[inline(always)]
+fn by_key(key: &[u32], id: u32) -> u64 {
+    u64::from(key[id as usize]) << 32 | u64::from(id)
 }
 
 /// The per-cycle scheduler core: the fully announced loop (every issue
@@ -413,9 +428,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
     probe: &mut P,
 ) {
     let n = prep.n;
-    let class = &prep.cols.class()[..n];
-    let flags = &prep.cols.flags()[..n];
-    let addr = &prep.cols.addr()[..n];
+    let key = &prep.key[..n];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
 
@@ -423,12 +436,12 @@ fn core_loop<P: SimProbe, const REC: bool>(
     // Always drained by the end of a cycle, so it is never part of a
     // checkpoint.
     let mut stash: Vec<u32> = Vec::with_capacity(SPAD_SCAN_WINDOW);
-    // Event-drain scratch: one id-sorted batch per occupied cycle plus
+    // Event-drain scratch: one key-sorted batch per occupied cycle plus
     // the side heap for same-cycle Sync-successor insertions (see the
-    // drain below). Both empty at every cycle boundary, so neither is
-    // part of a checkpoint.
-    let mut batch: Vec<u32> = Vec::with_capacity(256);
-    let mut side: BinaryHeap<std::cmp::Reverse<u32>> = BinaryHeap::new();
+    // drain below), both holding [`by_key`] words. Both empty at every
+    // cycle boundary, so neither is part of a checkpoint.
+    let mut batch: Vec<u64> = Vec::with_capacity(256);
+    let mut side: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
 
     // Byte accounting must use the geometry the cache actually built
     // (`Cache::new` normalizes degenerate line sizes).
@@ -439,8 +452,8 @@ fn core_loop<P: SimProbe, const REC: bool>(
     // Completion bookkeeping shared by all issue paths. The three-arg
     // form is used only while draining the `t == now` batch: a Sync
     // completing there readies same-cycle successors that must
-    // interleave into the batch by id (the heap this replaced popped
-    // them that way); everywhere else same-cycle readiness goes through
+    // interleave into the batch by key (the heap this replaced popped
+    // them in trace-id order); everywhere else same-cycle readiness goes through
     // the wheel and is picked up by a later batch or cycle.
     macro_rules! complete {
         ($id:expr, $fin:expr) => {
@@ -456,10 +469,10 @@ fn core_loop<P: SimProbe, const REC: bool>(
             for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
                 if let Some(ready) = st.dep_done(*s, fin) {
                     if phase_barrier_idx == Some(*s as usize) {
-                        probe.on_barrier_ready(st.now, ready, *s);
+                        probe.on_barrier_ready(st.now, ready, key[*s as usize]);
                     }
                     if $merge && ready == st.now {
-                        side.push(std::cmp::Reverse(*s));
+                        side.push(std::cmp::Reverse(by_key(key, *s)));
                     } else {
                         st.events.push(ready, *s);
                     }
@@ -473,9 +486,9 @@ fn core_loop<P: SimProbe, const REC: bool>(
             rec.take_ckpt(st);
         }
         probe.on_cycle_start(st.now);
-        // Drain events that became ready, one id-sorted batch per
-        // occupied cycle in time order — exactly the (time, id) order
-        // the event heap this replaced popped in. Straggler batches
+        // Drain events that became ready, one key-sorted batch per
+        // occupied cycle in time order — exactly the (time, trace id)
+        // order the event heap this replaced popped in. Straggler batches
         // (`t < now`, reachable only under zero-latency datapaths)
         // cannot receive same-cycle insertions — a Sync completing at
         // `now` readies successors at `now` or later, which land in a
@@ -485,12 +498,12 @@ fn core_loop<P: SimProbe, const REC: bool>(
             if t > st.now {
                 break;
             }
-            st.events.take_at(t, &mut batch);
+            st.events.take_at(t, &mut batch, key);
             batch.sort_unstable();
             let merge = t == st.now;
             let mut bi = 0;
             loop {
-                let id = if merge {
+                let word = if merge {
                     match (batch.get(bi).copied(), side.peek().copied()) {
                         (Some(b), Some(std::cmp::Reverse(s))) => {
                             if s < b {
@@ -520,7 +533,8 @@ fn core_loop<P: SimProbe, const REC: bool>(
                         None => break,
                     }
                 };
-                match class[id as usize] {
+                let id = word as u32;
+                match prep.class(id as usize) {
                     OpClass::Sync => {
                         // Barriers and SAlloc cost nothing by themselves.
                         if merge {
@@ -534,7 +548,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                     OpClass::MemLoad | OpClass::MemStore => st.q_mem.push_back(id),
                     OpClass::SpadLoad | OpClass::SpadStore => st.q_spad.push_back(id),
                     OpClass::Stream => {
-                        let dir = usize::from(flags[id as usize] & FLAG_STREAM_IN != 0);
+                        let dir = usize::from(prep.flags(id as usize) & FLAG_STREAM_IN != 0);
                         st.q_stream[dir].push_back(id);
                     }
                 }
@@ -548,13 +562,13 @@ fn core_loop<P: SimProbe, const REC: bool>(
             let Some(id) = st.q_fp.pop_front() else { break };
             fp_left -= 1;
             st.report.fp_ops += 1;
-            let c = class[id as usize];
+            let c = prep.class(id as usize);
             let lat = match c {
                 OpClass::FpAlu => cfg.pe.fp_alu_latency,
                 OpClass::FpMul => cfg.pe.fp_mul_latency,
                 _ => cfg.pe.fp_long_latency,
             };
-            probe.on_fp_issue(st.now, st.now + lat, c, id);
+            probe.on_fp_issue(st.now, st.now + lat, c, key[id as usize]);
             complete!(id, st.now + lat);
         }
 
@@ -565,7 +579,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
             };
             int_left -= 1;
             st.report.int_ops += 1;
-            probe.on_int_issue(st.now, st.now + cfg.pe.int_latency, id);
+            probe.on_int_issue(st.now, st.now + cfg.pe.int_latency, key[id as usize]);
             complete!(id, st.now + cfg.pe.int_latency);
         }
 
@@ -575,10 +589,11 @@ fn core_loop<P: SimProbe, const REC: bool>(
         let mut ports_left = cfg.cache.ports;
         while ports_left > 0 {
             let Some(&id) = st.q_mem.front() else { break };
-            let f = flags[id as usize];
-            let is_write = class[id as usize] == OpClass::MemStore;
+            let f = prep.flags(id as usize);
+            let is_write = prep.class(id as usize) == OpClass::MemStore;
             let (is_tape, is_rev) = (f & FLAG_TAPE != 0, f & FLAG_REV != 0);
-            let res = cache.access(addr[id as usize], is_write);
+            let a = prep.addr(id as usize);
+            let res = cache.access(a, is_write);
             // A miss claims the first slot with the minimum free time
             // (same pick as the iterator-based scan this replaced);
             // hits never consult the MSHRs, so the scan is skipped for
@@ -595,9 +610,8 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 let m = (REC_WRITE * u8::from(is_write))
                     | (REC_HIT * u8::from(res.hit))
                     | (REC_WB * u8::from(res.writeback.is_some()));
-                debug_assert_eq!(addr[id as usize] & !REC_ADDR_MASK, 0);
-                rec.addrs
-                    .push(addr[id as usize] | (u64::from(m) << REC_SHIFT));
+                debug_assert_eq!(a & !REC_ADDR_MASK, 0);
+                rec.addrs.push(a | (u64::from(m) << REC_SHIFT));
             }
             st.accesses += 1;
             if !res.hit && st.mshr[mshr_slot] > st.now {
@@ -617,9 +631,9 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 let (_, fin) = st.dram.transfer(start, line_bytes);
                 st.mshr[mshr_slot] = fin;
                 st.q_mem.pop_front();
-                probe.on_mshr_stall(st.now, is_tape, id);
+                probe.on_mshr_stall(st.now, is_tape, key[id as usize]);
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: id,
+                    node: key[id as usize],
                     now: st.now,
                     fin: fin + cfg.cache.hit_latency,
                     port: cfg.cache.ports - ports_left,
@@ -640,7 +654,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 st.report.cache.tape_hits += u64::from(is_tape);
                 st.report.cache.rev_hits += u64::from(is_rev);
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: id,
+                    node: key[id as usize],
                     now: st.now,
                     fin: st.now + cfg.cache.hit_latency,
                     port,
@@ -663,7 +677,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 let (_, fin) = st.dram.transfer(st.now, line_bytes);
                 st.mshr[mshr_slot] = fin;
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: id,
+                    node: key[id as usize],
                     now: st.now,
                     fin: fin + cfg.cache.hit_latency,
                     port,
@@ -687,14 +701,15 @@ fn core_loop<P: SimProbe, const REC: bool>(
                     break;
                 };
                 scanned += 1;
-                let bank = (addr[id as usize] as usize) % cfg.spad.banks.max(1);
+                let bank = (prep.addr(id as usize) as usize) % cfg.spad.banks.max(1);
                 if banks_used & (1u64 << bank) == 0 {
                     banks_used |= 1u64 << bank;
                     st.report.spad_accesses += 1;
-                    probe.on_spad_access(st.now, st.now + cfg.spad.latency, bank, id);
+                    let node = key[id as usize];
+                    probe.on_spad_access(st.now, st.now + cfg.spad.latency, bank, node);
                     complete!(id, st.now + cfg.spad.latency);
                 } else {
-                    probe.on_spad_conflict(st.now, bank, id);
+                    probe.on_spad_conflict(st.now, bank, key[id as usize]);
                     stash.push(id);
                 }
             }
@@ -707,12 +722,12 @@ fn core_loop<P: SimProbe, const REC: bool>(
         for dir in 0..2 {
             if st.stream_free[dir] <= st.now {
                 if let Some(id) = st.q_stream[dir].pop_front() {
-                    let bytes = u64::from(prep.cols.bytes(id as usize));
+                    let bytes = u64::from(prep.stream_bytes(id as usize));
                     st.report.stream_cmds += 1;
                     st.report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = st.dram.transfer(st.now, bytes);
                     st.stream_free[dir] = bw_done;
-                    probe.on_stream(st.now, bw_done, fin, dir, bytes, id);
+                    probe.on_stream(st.now, bw_done, fin, dir, bytes, key[id as usize]);
                     complete!(id, fin);
                 }
             }
@@ -796,7 +811,11 @@ fn finalize(
 
     recompute_energy(&mut report, cfg);
     if opts.record_node_times {
-        report.node_finish = Some((0..prep.n).map(|i| st.finish_time(i)).collect());
+        let mut times = vec![0; prep.n];
+        for (a, &i) in prep.key.iter().enumerate() {
+            times[i as usize] = st.finish_time(a);
+        }
+        report.node_finish = Some(times);
     }
     report
 }
@@ -1000,23 +1019,23 @@ impl EventQ {
     /// Advances the window to `t` (which must be a time
     /// [`EventQ::peek_time`] returned, so nothing occupied is skipped)
     /// and moves every event queued there into `batch`.
-    fn take_at(&mut self, t: u64, batch: &mut Vec<u32>) {
+    fn take_at(&mut self, t: u64, batch: &mut Vec<u64>, key: &[u32]) {
         debug_assert!(t >= self.cur);
         if t > self.cur {
             self.cur = t;
             self.refill();
         }
-        self.take_into(t, batch);
+        self.take_into(t, batch, key);
     }
 
     /// Moves every event queued at `t` (the value [`EventQ::next_time`]
-    /// returned) into `batch`.
-    fn take_into(&mut self, t: u64, batch: &mut Vec<u32>) {
+    /// returned) into `batch` as [`by_key`] words.
+    fn take_into(&mut self, t: u64, batch: &mut Vec<u64>, key: &[u32]) {
         let s = t as usize & self.mask;
         let mut node = self.head[s];
         while node != NIL {
             let (next, id) = self.pool[node as usize];
-            batch.push(id);
+            batch.push(by_key(key, id));
             self.pool[node as usize].0 = self.free;
             self.free = node;
             self.len -= 1;
@@ -1182,15 +1201,13 @@ fn dataflow_loop<const REC: bool>(
     rec: &mut Recording,
 ) {
     let n = prep.n;
-    let class = &prep.cols.class()[..n];
-    let flags = &prep.cols.flags()[..n];
-    let addr = &prep.cols.addr()[..n];
+    let key = &prep.key[..n];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
     let line_bytes = cache.config().line_bytes as u64;
 
-    let mut batch: Vec<u32> = Vec::with_capacity(256);
-    let mut side: BinaryHeap<std::cmp::Reverse<u32>> = BinaryHeap::new();
+    let mut batch: Vec<u64> = Vec::with_capacity(256);
+    let mut side: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
 
     while st.completed < n {
         if REC && st.accesses >= rec.next_ckpt {
@@ -1203,7 +1220,7 @@ fn dataflow_loop<const REC: bool>(
         let Some(t) = st.events.next_time() else {
             break;
         };
-        st.events.take_into(t, &mut batch);
+        st.events.take_into(t, &mut batch, key);
         batch.sort_unstable();
 
         macro_rules! complete {
@@ -1214,7 +1231,7 @@ fn dataflow_loop<const REC: bool>(
                 for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
                     if let Some(ready) = st.dep_done(*s, fin) {
                         if ready == t {
-                            side.push(std::cmp::Reverse(*s));
+                            side.push(std::cmp::Reverse(by_key(key, *s)));
                         } else {
                             st.events.push(ready, *s);
                         }
@@ -1225,7 +1242,7 @@ fn dataflow_loop<const REC: bool>(
 
         let mut bi = 0;
         loop {
-            let id = match (batch.get(bi).copied(), side.peek().copied()) {
+            let word = match (batch.get(bi).copied(), side.peek().copied()) {
                 (Some(b), Some(std::cmp::Reverse(s))) => {
                     if s < b {
                         side.pop();
@@ -1245,39 +1262,41 @@ fn dataflow_loop<const REC: bool>(
                 }
                 (None, None) => break,
             };
-            let idu = id as usize;
-            match class[idu] {
+            let idu = word as u32 as usize;
+            let class = prep.class(idu);
+            match class {
                 // Barriers and SAlloc cost nothing by themselves; their
-                // same-cycle successors merge into the batch in id
+                // same-cycle successors merge into the batch in key
                 // order, exactly as the event heap would interleave
                 // them.
-                OpClass::Sync => complete!(id, t),
+                OpClass::Sync => complete!(idu, t),
                 OpClass::FpAlu | OpClass::FpMul | OpClass::FpLong => {
-                    let lat = match class[idu] {
+                    let lat = match class {
                         OpClass::FpAlu => cfg.pe.fp_alu_latency,
                         OpClass::FpMul => cfg.pe.fp_mul_latency,
                         _ => cfg.pe.fp_long_latency,
                     };
                     st.report.fp_ops += 1;
-                    complete!(id, st.fp_srv.issue_at(t, cfg.pe.fp_issue) + lat);
+                    complete!(idu, st.fp_srv.issue_at(t, cfg.pe.fp_issue) + lat);
                 }
                 OpClass::Int => {
                     st.report.int_ops += 1;
                     complete!(
-                        id,
+                        idu,
                         st.int_srv.issue_at(t, cfg.pe.int_issue) + cfg.pe.int_latency
                     );
                 }
                 OpClass::MemLoad | OpClass::MemStore => {
-                    let is_write = class[idu] == OpClass::MemStore;
-                    let f = flags[idu];
+                    let is_write = class == OpClass::MemStore;
+                    let f = prep.flags(idu);
                     let (is_tape, is_rev) = (f & FLAG_TAPE != 0, f & FLAG_REV != 0);
                     // The memory queue follows the same closed form
                     // through the cache ports, with one extra rule at
                     // the stall site: a miss with no free MSHR ends its
                     // service cycle (head-of-line).
                     let s = st.mem_srv.issue_at(t, cfg.cache.ports);
-                    let res = cache.access(addr[idu], is_write);
+                    let a = prep.addr(idu);
+                    let res = cache.access(a, is_write);
                     // Only misses consult the MSHRs; the min-slot scan
                     // is skipped on the majority hit path.
                     let mut mshr_slot = 0;
@@ -1292,15 +1311,15 @@ fn dataflow_loop<const REC: bool>(
                         let m = (REC_WRITE * u8::from(is_write))
                             | (REC_HIT * u8::from(res.hit))
                             | (REC_WB * u8::from(res.writeback.is_some()));
-                        debug_assert_eq!(addr[idu] & !REC_ADDR_MASK, 0);
-                        rec.addrs.push(addr[idu] | (u64::from(m) << REC_SHIFT));
+                        debug_assert_eq!(a & !REC_ADDR_MASK, 0);
+                        rec.addrs.push(a | (u64::from(m) << REC_SHIFT));
                     }
                     st.accesses += 1;
                     if res.hit {
                         st.report.cache.hits += 1;
                         st.report.cache.tape_hits += u64::from(is_tape);
                         st.report.cache.rev_hits += u64::from(is_rev);
-                        complete!(id, s + cfg.cache.hit_latency);
+                        complete!(idu, s + cfg.cache.hit_latency);
                     } else {
                         st.report.cache.misses += 1;
                         st.report.cache.tape_misses += u64::from(is_tape);
@@ -1319,11 +1338,11 @@ fn dataflow_loop<const REC: bool>(
                             let (_, fin) = st.dram.transfer(st.mshr[mshr_slot], line_bytes);
                             st.mshr[mshr_slot] = fin;
                             st.mem_srv.used = cfg.cache.ports;
-                            complete!(id, fin + cfg.cache.hit_latency);
+                            complete!(idu, fin + cfg.cache.hit_latency);
                         } else {
                             let (_, fin) = st.dram.transfer(s, line_bytes);
                             st.mshr[mshr_slot] = fin;
-                            complete!(id, fin + cfg.cache.hit_latency);
+                            complete!(idu, fin + cfg.cache.hit_latency);
                         }
                     }
                 }

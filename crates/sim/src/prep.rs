@@ -1,24 +1,34 @@
 //! Config-independent simulation arena.
 //!
-//! A [`PreparedSim`] pairs the trace's per-node column block (class,
-//! flags, address, plus the sparse stream sizes: [`NodeColumns`]),
-//! shared through one `Arc` rather than copied, with what the scheduler
-//! derives from the graph's shape: the successor CSR (the trace's flat
-//! predecessor CSR, transposed in two linear passes), one `u32` initial
-//! indegree per node (read off the predecessor offsets), the root set,
-//! the phase-barrier index and the per-class presence bits. Per node
-//! that is 10 bytes of shared columns, 4 of indegree and 4 of successor
-//! offset, plus 4 per dependence edge. None of it depends on the
-//! [`crate::SystemConfig`], so a parameter sweep that only perturbs
-//! cache/scratchpad/DRAM settings re-simulates from this shared prefix
-//! instead of rebuilding it per configuration (the bench harness keys
-//! the arena by program and the simulation result by the
-//! `SystemConfig::fingerprint` memo). The arena keeps the column block
-//! alive on its own, so it may outlive the trace it was built from.
+//! A [`PreparedSim`] holds what the scheduler reads of a [`Trace`], in
+//! a numbering of its own: per node a 4-byte key (the node's trace id),
+//! one packed class | flags byte, 4 bytes of initial indegree and 4 of
+//! successor offset, plus 4 per dependence edge. Addresses are kept
+//! only for cache and scratchpad nodes, 8 bytes each, found by rank over
+//! a presence bitmap (16 bytes per 64 nodes); stream sizes are a sparse
+//! list. The arena owns all of it, so it may outlive the trace it was
+//! built from. None of it depends on the [`crate::SystemConfig`], so a
+//! parameter sweep that only perturbs cache/scratchpad/DRAM settings
+//! re-simulates from this shared prefix instead of rebuilding it per
+//! configuration (the bench harness keys the arena by program and the
+//! simulation result by the `SystemConfig::fingerprint` memo).
+//!
+//! [`PreparedSim::new`] numbers nodes in trace order.
+//! [`PreparedSim::in_schedule_order`] renumbers them in the order the
+//! dataflow scheduler visits them, the way TapeFlow lays the gradient
+//! tape out in the order the reverse pass reads it: by ASAP level (a
+//! node's longest path from a root under fixed nominal per-class
+//! latencies, `nominal_latency`), sorted stably. The scheduler visits
+//! nodes roughly level by level, so a completion's successor walk and
+//! the batch it drains then read nearby entries instead of random ones
+//! across the whole trace. The numbering never shows: both loops break
+//! same-cycle ties on the key, and probes and `node_finish` receive it,
+//! so reports are byte-identical under either numbering.
 
+use crate::config::SystemConfig;
 use crate::error::SimError;
-use std::sync::Arc;
-use tapeflow_ir::trace::{NodeColumns, EDGE_LIMIT, FLAG_REV};
+use std::sync::{Arc, OnceLock};
+use tapeflow_ir::trace::{EDGE_LIMIT, FLAG_REV};
 use tapeflow_ir::{NodeId, OpClass, Trace};
 
 /// Finish times the scheduler can hold, exclusive: a run keeps each
@@ -33,17 +43,104 @@ use tapeflow_ir::{NodeId, OpClass, Trace};
 /// [`EDGE_LIMIT`]).
 pub const FINISH_LIMIT: u64 = 1 << 40;
 
-/// A [`Trace`] preprocessed for simulation: the trace's shared node
-/// columns plus the dependence CSR, independent of any `SystemConfig`.
+/// The latency a node of class `c` adds to its successors' ASAP level:
+/// the default configuration's, with cache accesses at the hit latency
+/// and streams at the DRAM latency. Any numbering yields the same
+/// schedule; these only decide how closely the arena order follows the
+/// order the scheduler visits nodes in.
+pub(crate) fn nominal_latency(c: OpClass) -> u32 {
+    let cfg = SystemConfig::default();
+    let cycles = match c {
+        OpClass::FpAlu => cfg.pe.fp_alu_latency,
+        OpClass::FpMul => cfg.pe.fp_mul_latency,
+        OpClass::FpLong => cfg.pe.fp_long_latency,
+        OpClass::Int => cfg.pe.int_latency,
+        OpClass::MemLoad | OpClass::MemStore => cfg.cache.hit_latency,
+        OpClass::SpadLoad | OpClass::SpadStore => cfg.spad.latency,
+        OpClass::Stream => cfg.dram.latency,
+        OpClass::Sync => 0,
+    };
+    cycles as u32
+}
+
+/// Whether a node of class `c` carries an address the engine reads: a
+/// cache line address or a scratchpad entry.
+fn addressed(c: OpClass) -> bool {
+    matches!(
+        c,
+        OpClass::MemLoad | OpClass::MemStore | OpClass::SpadLoad | OpClass::SpadStore
+    )
+}
+
+/// The class packed into the low four bits of a class | flags byte.
+#[inline]
+fn unpack_class(cf: u8) -> OpClass {
+    match cf & 0xF {
+        0 => OpClass::FpAlu,
+        1 => OpClass::FpMul,
+        2 => OpClass::FpLong,
+        3 => OpClass::Int,
+        4 => OpClass::MemLoad,
+        5 => OpClass::MemStore,
+        6 => OpClass::SpadLoad,
+        7 => OpClass::SpadStore,
+        8 => OpClass::Stream,
+        _ => OpClass::Sync,
+    }
+}
+
+/// One packed byte per node: the class in the low four bits (its
+/// declaration index, which [`unpack_class`] inverts) and the trace's
+/// `FLAG_*` bits above.
+#[inline]
+fn pack_class(c: OpClass, flags: u8) -> u8 {
+    c as u8 | flags << 4
+}
+
+/// How far to shift levels right so that the largest, `max_level`,
+/// fits the `n + 1` buckets of an `n`-node counting sort. Every
+/// numbering schedules alike, so coarser levels cost only locality; a
+/// trace whose nominal critical path is longer than its node count is
+/// mostly serial and gains little from the order anyway.
+fn level_shift(max_level: u32, n: usize) -> u32 {
+    (0..32)
+        .find(|&s| (max_level >> s) as usize <= n)
+        .unwrap_or(32)
+}
+
+/// Presence bits of 64 consecutive arena nodes (bit `a % 64` is set
+/// when node `a` carries an address) and the number of addressed nodes
+/// before them: node `a`'s address sits at `rank` plus the set bits
+/// below its own.
+#[derive(Clone, Copy, Debug)]
+struct AddrBlock {
+    has: u64,
+    rank: u32,
+}
+
+/// A [`Trace`] preprocessed for simulation, independent of any
+/// `SystemConfig`: the packed node columns, addresses and dependence
+/// CSR, all laid out in the arena's numbering (trace order, or schedule
+/// order after [`PreparedSim::in_schedule_order`]). Arena ids index
+/// every array here; `key` maps them back to trace ids.
 ///
 /// Build once with [`PreparedSim::new`], then run any number of
 /// configurations through [`crate::engine::simulate_prepared`].
 #[derive(Clone, Debug)]
 pub struct PreparedSim {
     pub(crate) n: usize,
-    /// The trace's class, flag and address columns and stream sizes
-    /// (scratchpad accesses carry their entry index as the address).
-    pub(crate) cols: Arc<NodeColumns>,
+    /// The trace id of each arena node: the tie-break within a cycle
+    /// and the id probes and `node_finish` report.
+    pub(crate) key: Vec<u32>,
+    /// Class | flags per node ([`pack_class`]).
+    cf: Vec<u8>,
+    /// Addresses of the cache and scratchpad nodes in arena order
+    /// (scratchpad accesses carry their entry index).
+    addr: Vec<u64>,
+    /// Locates each addressed node's entry in `addr`.
+    addr_at: Vec<AddrBlock>,
+    /// `(node, bytes)` per stream command, sorted by arena id.
+    streams: Vec<(u32, u32)>,
     /// Dependence count per node — each run's initial indegrees, which
     /// `engine::SchedState::new` packs into its 8-byte run-state words.
     pub(crate) indeg0: Vec<u32>,
@@ -51,9 +148,9 @@ pub struct PreparedSim {
     pub(crate) succ_off: Vec<u32>,
     /// CSR successor payload.
     pub(crate) succ_dat: Vec<u32>,
-    /// Nodes with no dependences, in id order.
+    /// Nodes with no dependences, in arena order.
     pub(crate) roots: Vec<u32>,
-    /// Index of the FWD/REV phase barrier, if the trace has one.
+    /// Arena id of the FWD/REV phase barrier, if the trace has one.
     pub(crate) phase_barrier_idx: Option<usize>,
     /// Whether any node touches the scratchpad. Together with
     /// [`PreparedSim::has_stream`] this decides which engine backend
@@ -67,6 +164,9 @@ pub struct PreparedSim {
     /// of a sweep recording's outcome stream, precomputed so sessions
     /// don't rescan the class array.
     pub(crate) n_mem: usize,
+    /// This arena in schedule order, built on the first sweep session
+    /// over it and shared by the later ones.
+    ordered: OnceLock<Arc<PreparedSim>>,
 }
 
 impl PreparedSim {
@@ -95,26 +195,22 @@ impl PreparedSim {
         Ok(())
     }
 
-    /// Builds the arena over `trace`'s shared columns. Fails (instead of
-    /// silently truncating ids) when the trace exceeds the 32-bit index
-    /// limits.
+    /// Builds the arena for `trace`, numbered in trace order. Fails
+    /// (instead of silently truncating ids) when the trace exceeds the
+    /// 32-bit index limits. [`PreparedSim::in_schedule_order`] renumbers
+    /// it for arenas that serve many runs.
     pub fn new(trace: &Trace) -> Result<Self, SimError> {
         let n = trace.len();
         Self::check_limits(n, trace.edge_count())?;
-        let cols = Arc::clone(trace.columns());
+        let cols = trace.columns();
+        let (class, flags) = (cols.class(), cols.flags());
 
-        let mut has_spad = false;
-        let mut has_stream = false;
-        let mut n_mem = 0usize;
-        for c in cols.class() {
-            has_spad |= matches!(c, OpClass::SpadLoad | OpClass::SpadStore);
-            has_stream |= matches!(c, OpClass::Stream);
-            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
-        }
-        let phase_barrier_idx = cols.flags().iter().position(|f| f & FLAG_REV != 0);
-
+        let mut cf = Vec::with_capacity(n);
         let mut indeg0 = Vec::with_capacity(n);
+        let mut addr_at = Vec::with_capacity(n.div_ceil(64));
+        let mut streams = Vec::new();
         let mut roots = Vec::new();
+        let mut n_mem = 0;
         // Successor counts land one slot up (`succ_off[d + 1]`), so the
         // prefix sum below leaves each node's start in `succ_off[d]`.
         let mut succ_off = vec![0u32; n + 1];
@@ -127,7 +223,30 @@ impl PreparedSim {
             for d in deps {
                 succ_off[d.index() + 1] += 1;
             }
+            let c = class[i];
+            cf.push(pack_class(c, flags[i]));
+            if i % 64 == 0 {
+                addr_at.push(AddrBlock { has: 0, rank: 0 });
+            }
+            if addressed(c) {
+                addr_at[i / 64].has |= 1 << (i % 64);
+            } else if c == OpClass::Stream {
+                streams.push((i as u32, cols.bytes(i)));
+            }
+            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
         }
+        let mut rank = 0;
+        for b in &mut addr_at {
+            b.rank = rank;
+            rank += b.has.count_ones();
+        }
+        let mut addr = Vec::with_capacity(rank as usize);
+        addr.extend(
+            (0..n)
+                .filter(|&i| addressed(class[i]))
+                .map(|i| cols.addr()[i]),
+        );
+        streams.shrink_to_fit();
 
         // Transpose the predecessor CSR: bump each node's start as its
         // successors fill in, which leaves `succ_off[d]` at `d`'s end, then
@@ -148,16 +267,139 @@ impl PreparedSim {
 
         Ok(PreparedSim {
             n,
-            cols,
+            key: (0..n as u32).collect(),
+            has_spad: addr.len() > n_mem,
+            has_stream: !streams.is_empty(),
+            n_mem,
+            cf,
+            addr,
+            addr_at,
+            streams,
             indeg0,
             succ_off,
             succ_dat,
             roots,
-            phase_barrier_idx,
-            has_spad,
-            has_stream,
-            n_mem,
+            phase_barrier_idx: flags.iter().position(|f| f & FLAG_REV != 0),
+            ordered: OnceLock::new(),
         })
+    }
+
+    /// The same arena renumbered in ASAP-level order, ties in the
+    /// current order, which the scheduler visits far more locally: worth
+    /// its build, which takes a few times [`PreparedSim::new`]'s, where
+    /// one arena serves many runs, as in a [`crate::SweepSession`].
+    /// Reports from either numbering are byte-identical. The current
+    /// numbering must be a topological order, as trace order and every
+    /// level order are.
+    pub fn in_schedule_order(&self) -> PreparedSim {
+        let n = self.n;
+        let lat: [u32; 10] = std::array::from_fn(|c| nominal_latency(unpack_class(c as u8)));
+        let lat_of = |a: usize| lat[(self.cf[a] & 0xF) as usize];
+
+        // Each node's level, pushed along its successor edges.
+        let mut level = vec![0u32; n];
+        let mut max_level = 0;
+        for a in 0..n {
+            max_level = max_level.max(level[a]);
+            let fin = level[a].saturating_add(lat_of(a));
+            for &s in self.succs(a) {
+                let l = &mut level[s as usize];
+                *l = (*l).max(fin);
+            }
+        }
+
+        // A stable counting sort by level: `next[l]` is level `l`'s
+        // next free id, and `level` turns into each node's new id.
+        let shift = level_shift(max_level, n);
+        let mut next = vec![0u32; (max_level >> shift) as usize + 2];
+        for &l in &level {
+            next[(l >> shift) as usize + 1] += 1;
+        }
+        for l in 1..next.len() {
+            next[l] += next[l - 1];
+        }
+        let mut key = vec![0u32; n];
+        let mut cf = vec![0u8; n];
+        let mut indeg0 = vec![0u32; n];
+        let mut succ_off = vec![0u32; n + 1];
+        let mut addr_at = vec![AddrBlock { has: 0, rank: 0 }; n.div_ceil(64)];
+        let mut streams = Vec::with_capacity(self.streams.len());
+        for a in 0..n {
+            let slot = &mut next[(level[a] >> shift) as usize];
+            let b = *slot as usize;
+            *slot += 1;
+            level[a] = b as u32;
+            key[b] = self.key[a];
+            cf[b] = self.cf[a];
+            indeg0[b] = self.indeg0[a];
+            succ_off[b + 1] = self.succs(a).len() as u32;
+            if addressed(unpack_class(cf[b])) {
+                addr_at[b / 64].has |= 1 << (b % 64);
+            } else if unpack_class(cf[b]) == OpClass::Stream {
+                streams.push((b as u32, self.stream_bytes(a)));
+            }
+        }
+        drop(next);
+        let new_id = level;
+        streams.sort_unstable();
+        for b in 0..n {
+            succ_off[b + 1] += succ_off[b];
+        }
+        let mut rank = 0;
+        for blk in &mut addr_at {
+            blk.rank = rank;
+            rank += blk.has.count_ones();
+        }
+
+        // Each successor list and address moves to its node's new place.
+        let mut succ_dat = vec![0u32; self.succ_dat.len()];
+        let mut addr = vec![0u64; self.addr.len()];
+        let mut out = PreparedSim {
+            n,
+            key,
+            cf,
+            addr: Vec::new(),
+            addr_at,
+            streams,
+            indeg0,
+            succ_off,
+            succ_dat: Vec::new(),
+            roots: Vec::new(),
+            phase_barrier_idx: self.phase_barrier_idx.map(|a| new_id[a] as usize),
+            has_spad: self.has_spad,
+            has_stream: self.has_stream,
+            n_mem: self.n_mem,
+            ordered: OnceLock::new(),
+        };
+        for a in 0..n {
+            let b = new_id[a] as usize;
+            let start = out.succ_off[b] as usize;
+            for (k, &s) in self.succs(a).iter().enumerate() {
+                succ_dat[start + k] = new_id[s as usize];
+            }
+            if addressed(out.class(b)) {
+                addr[out.addr_index(b)] = self.addr(a);
+            }
+        }
+        out.succ_dat = succ_dat;
+        out.addr = addr;
+        out.roots = self.roots.iter().map(|&a| new_id[a as usize]).collect();
+        out.roots.sort_unstable();
+        out
+    }
+
+    /// [`PreparedSim::in_schedule_order`], built once per arena.
+    pub(crate) fn schedule_ordered(&self) -> Arc<PreparedSim> {
+        Arc::clone(
+            self.ordered
+                .get_or_init(|| Arc::new(self.in_schedule_order())),
+        )
+    }
+
+    /// Arena node `a`'s successors.
+    #[inline]
+    pub(crate) fn succs(&self, a: usize) -> &[u32] {
+        &self.succ_dat[self.succ_off[a] as usize..self.succ_off[a + 1] as usize]
     }
 
     /// Whether any node touches the scratchpad or a stream engine. When
@@ -165,6 +407,51 @@ impl PreparedSim {
     /// iteration; see `engine::dataflow_loop`).
     pub(crate) fn spad_or_stream(&self) -> bool {
         self.has_spad || self.has_stream
+    }
+
+    /// Arena node `a`'s scheduling class.
+    #[inline]
+    pub(crate) fn class(&self, a: usize) -> OpClass {
+        unpack_class(self.cf[a])
+    }
+
+    /// Arena node `a`'s `FLAG_*` bits.
+    #[inline]
+    pub(crate) fn flags(&self, a: usize) -> u8 {
+        self.cf[a] >> 4
+    }
+
+    /// Arena node `a`'s address; `a` must be a cache or scratchpad node.
+    #[inline]
+    pub(crate) fn addr(&self, a: usize) -> u64 {
+        self.addr[self.addr_index(a)]
+    }
+
+    /// Where arena node `a`'s address sits in `addr`.
+    #[inline]
+    fn addr_index(&self, a: usize) -> usize {
+        let b = self.addr_at[a / 64];
+        debug_assert!(b.has >> (a % 64) & 1 == 1, "node {a} has no address");
+        let below = b.has & !(u64::MAX << (a % 64));
+        b.rank as usize + below.count_ones() as usize
+    }
+
+    /// Bytes stream node `a` moves.
+    pub(crate) fn stream_bytes(&self, a: usize) -> u32 {
+        let k = self
+            .streams
+            .partition_point(|&(node, _)| (node as usize) < a);
+        debug_assert_eq!(self.streams[k].0 as usize, a, "node {a} is no stream");
+        self.streams[k].1
+    }
+
+    /// Class and address of every cache and scratchpad node, in arena
+    /// order.
+    pub(crate) fn accesses(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
+        (0..self.n)
+            .map(|a| self.class(a))
+            .filter(|&c| addressed(c))
+            .zip(self.addr.iter().copied())
     }
 
     /// Number of nodes in the prepared trace.
@@ -205,37 +492,99 @@ mod tests {
         ));
     }
 
-    /// Checks the arena against the trace it was built from: shared
-    /// columns, indegrees, the transposed CSR, roots and phase barrier.
-    fn check_arena(trace: &Trace) -> PreparedSim {
-        let prep = PreparedSim::new(trace).unwrap();
+    #[test]
+    fn class_bytes_round_trip() {
+        use OpClass::*;
+        let classes = [
+            FpAlu, FpMul, FpLong, Int, MemLoad, MemStore, SpadLoad, SpadStore, Stream, Sync,
+        ];
+        for (k, c) in classes.into_iter().enumerate() {
+            assert_eq!(c as usize, k, "{c:?}");
+            for flags in 0..8 {
+                let cf = pack_class(c, flags);
+                assert_eq!((unpack_class(cf), cf >> 4), (c, flags));
+            }
+        }
+    }
+
+    /// Checks `prep` against the trace it was built from: the
+    /// numbering, the columns, indegrees, the transposed CSR, roots and
+    /// phase barrier, all through `key`.
+    fn check_arena(trace: &Trace, prep: &PreparedSim) {
         let n = trace.len();
+        let cols = trace.columns();
+        let deps = |i: usize| trace.deps(NodeId::new(i));
         assert_eq!(prep.len(), n);
-        assert!(Arc::ptr_eq(&prep.cols, trace.columns()));
+        // `key` is a permutation, and the arena id of trace node `i` is
+        // `arena[i]`.
+        let mut arena = vec![u32::MAX; n];
+        for (a, &i) in prep.key.iter().enumerate() {
+            assert_eq!(arena[i as usize], u32::MAX, "trace node {i} twice");
+            arena[i as usize] = a as u32;
+        }
+        for (a, &i) in prep.key.iter().enumerate() {
+            let i = i as usize;
+            assert_eq!(prep.class(a), cols.class()[i], "node {i}");
+            assert_eq!(prep.flags(a), cols.flags()[i], "node {i}");
+            if addressed(prep.class(a)) {
+                assert_eq!(prep.addr(a), cols.addr()[i], "node {i}");
+            }
+            if prep.class(a) == OpClass::Stream {
+                assert_eq!(prep.stream_bytes(a), cols.bytes(i), "node {i}");
+            }
+            assert_eq!(prep.indeg0[a] as usize, deps(i).len(), "node {i}");
+        }
         assert_eq!(prep.succ_off.len(), n + 1);
         assert_eq!(prep.succ_off[n] as usize, trace.edge_count());
         assert_eq!(prep.succ_dat.len(), trace.edge_count());
-        let succs =
-            |d: usize| &prep.succ_dat[prep.succ_off[d] as usize..prep.succ_off[d + 1] as usize];
         for i in 0..n {
-            let deps = trace.deps(NodeId::new(i));
-            assert_eq!(prep.indeg0[i] as usize, deps.len(), "node {i}");
             // Every predecessor edge appears exactly once as a successor;
             // with equal totals, the successor lists hold nothing else.
-            for d in deps {
-                let hits = succs(d.index())
+            for d in deps(i) {
+                let hits = prep
+                    .succs(arena[d.index()] as usize)
                     .iter()
-                    .filter(|&&s| s as usize == i)
+                    .filter(|&&s| s == arena[i])
                     .count();
                 assert_eq!(hits, 1, "edge {} -> {i}", d.index());
             }
         }
         let roots: Vec<u32> = (0..n as u32)
-            .filter(|&i| trace.deps(NodeId::new(i as usize)).is_empty())
+            .filter(|&a| deps(prep.key[a as usize] as usize).is_empty())
             .collect();
         assert_eq!(prep.roots, roots);
-        let first_rev = (0..n).find(|&i| trace.columns().phase(i) == Phase::Rev);
-        assert_eq!(prep.phase_barrier_idx, first_rev);
+        let first_rev = (0..n).find(|&i| cols.phase(i) == Phase::Rev);
+        assert_eq!(prep.phase_barrier_idx, first_rev.map(|i| arena[i] as usize));
+    }
+
+    /// Builds both numberings of `trace`'s arena and checks them: trace
+    /// order for [`PreparedSim::new`], ASAP levels (coarsened to fit the
+    /// sort's buckets) with trace order within a level for
+    /// [`PreparedSim::in_schedule_order`], which a second renumbering
+    /// leaves as it is. Returns the level-ordered one.
+    fn check_arenas(trace: &Trace) -> PreparedSim {
+        let n = trace.len();
+        let plain = PreparedSim::new(trace).unwrap();
+        check_arena(trace, &plain);
+        assert_eq!(plain.key, (0..n as u32).collect::<Vec<_>>());
+        let prep = plain.in_schedule_order();
+        check_arena(trace, &prep);
+        let mut level = vec![0u32; n];
+        for i in 0..n {
+            level[i] = trace
+                .deps(NodeId::new(i))
+                .iter()
+                .map(|d| level[d.index()] + nominal_latency(trace.columns().class()[d.index()]))
+                .max()
+                .unwrap_or(0);
+        }
+        let shift = level_shift(level.iter().copied().max().unwrap_or(0), n);
+        for w in prep.key.windows(2) {
+            let (i, j) = (w[0] as usize, w[1] as usize);
+            let at = |i: usize| (level[i] >> shift, i);
+            assert!(at(i) < at(j), "nodes {i} and {j} out of order");
+        }
+        assert_eq!(prep.in_schedule_order().key, prep.key);
         prep
     }
 
@@ -250,8 +599,33 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let prep = check_arena(&trace);
+        let prep = check_arenas(&trace);
         assert_eq!(prep.phase_barrier_idx, None);
+    }
+
+    #[test]
+    fn arena_orders_nodes_by_level() {
+        // Independent loads interleaved with a dependent chain of adds:
+        // the loads share the chain head's level 0, so the arena lists
+        // them right after it, ahead of the rest of the chain.
+        let mut b = FunctionBuilder::new("t");
+        let x = b.array("x", 8, ArrayKind::Input, Scalar::F64);
+        let one = b.f64(1.0);
+        let mut v = b.f64(0.0);
+        for i in 0..8 {
+            v = b.fadd(v, one);
+            let idx = b.i64(i);
+            let _ = b.load(x, idx);
+        }
+        let f = b.finish();
+        let mut mem = Memory::for_function(&f);
+        let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
+        let prep = check_arenas(&trace);
+        let classes: Vec<OpClass> = (0..prep.len()).map(|a| prep.class(a)).collect();
+        let mut want = vec![OpClass::FpAlu];
+        want.extend([OpClass::MemLoad; 8]);
+        want.extend([OpClass::FpAlu; 7]);
+        assert_eq!(classes, want);
     }
 
     /// FWD fills a scratchpad buffer and streams it out to the tape;
@@ -301,42 +675,41 @@ mod tests {
     #[test]
     fn arena_mirrors_a_stream_spad_barrier_trace() {
         let (trace, bar) = stream_spad_barrier_trace();
-        let prep = check_arena(&trace);
+        let prep = check_arenas(&trace);
         assert!(prep.has_spad && prep.has_stream);
         assert_eq!(trace.layer_count(), 2);
         let layers: Vec<u32> = (0..trace.len()).map(|i| trace.layer(i)).collect();
         assert_eq!(layers, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
         // The barrier is the first REV node.
-        assert_eq!(prep.phase_barrier_idx, Some(5));
+        let barrier = prep.phase_barrier_idx.unwrap();
+        assert_eq!(prep.key[barrier], 5);
         assert_eq!(trace.insts()[5], bar);
         // Scratchpad accesses and streams are tape accesses; only the
-        // `StreamIn` at node 7 runs on the inward engine.
-        let flags = &prep.cols.flags();
-        let tape: Vec<usize> = (0..prep.len())
-            .filter(|&i| flags[i] & FLAG_TAPE != 0)
-            .collect();
-        assert_eq!(tape, [2, 3, 4, 7, 8]);
-        let inward: Vec<usize> = (0..prep.len())
-            .filter(|&i| flags[i] & FLAG_STREAM_IN != 0)
-            .collect();
-        assert_eq!(inward, [7]);
+        // `StreamIn` at trace node 7 runs on the inward engine.
+        let with = |flag: u8| {
+            let mut ids: Vec<u32> = (0..prep.len())
+                .filter(|&a| prep.flags(a) & flag != 0)
+                .map(|a| prep.key[a])
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(with(FLAG_TAPE), [2, 3, 4, 7, 8]);
+        assert_eq!(with(FLAG_STREAM_IN), [7]);
     }
 
     #[test]
-    fn arena_shares_the_trace_columns_and_outlives_the_trace() {
+    fn arena_outlives_the_trace() {
         let (trace, _) = stream_spad_barrier_trace();
         let prep = PreparedSim::new(&trace).unwrap();
-        // Shared, not copied: one block, the same column buffers.
-        assert!(Arc::ptr_eq(&prep.cols, trace.columns()));
-        assert_eq!(prep.cols.addr().as_ptr(), trace.columns().addr().as_ptr());
         let opts = SimOptions {
             record_node_times: true,
         };
         let cfg = SystemConfig::default();
-        let before = simulate_prepared(&prep, &cfg, &opts).to_json().render();
+        let before = simulate_prepared(&prep, &cfg, &opts);
         drop(trace);
-        assert_eq!(Arc::strong_count(&prep.cols), 1, "the arena owns the block");
-        let after = simulate_prepared(&prep, &cfg, &opts).to_json().render();
-        assert_eq!(before, after);
+        let after = simulate_prepared(&prep, &cfg, &opts);
+        assert_eq!(before.to_json().render(), after.to_json().render());
+        assert_eq!(before.node_finish, after.node_finish);
     }
 }

@@ -25,6 +25,12 @@
 //!      checkpoint, cache state from the replay — and re-simulates
 //!      only the tail, re-recording it for the next configuration.
 //!
+//! A session renumbers its arena in schedule order
+//! ([`PreparedSim::in_schedule_order`]) once, up front: the runs of a
+//! ladder then walk the per-node arrays nearly in sequence, which pays
+//! for the renumbering within a few runs ([`run_group`] keeps smaller
+//! groups on the arena as numbered).
+//!
 //! Ordering a ladder from large caches to small maximizes shared
 //! prefixes (neighbouring sizes behave identically until capacity
 //! pressure bites); [`plan_order`] encodes that policy for arbitrary
@@ -175,8 +181,16 @@ impl std::fmt::Debug for SweepSession {
 }
 
 impl SweepSession {
-    /// A session over `prep`. `opts` applies to every run.
+    /// A session over `prep`, renumbered for the many runs a session
+    /// makes ([`PreparedSim::in_schedule_order`], built on the first
+    /// session over `prep` and kept with it). `opts` applies to every
+    /// run.
     pub fn new(prep: Arc<PreparedSim>, opts: SimOptions) -> SweepSession {
+        SweepSession::over(prep.schedule_ordered(), opts)
+    }
+
+    /// A session over `prep` as numbered.
+    fn over(prep: Arc<PreparedSim>, opts: SimOptions) -> SweepSession {
         let n_mem = prep.n_mem;
         let (interval, max_ckpts) = ckpt_plan(prep.len(), n_mem);
         SweepSession {
@@ -406,14 +420,10 @@ pub(crate) fn spad_map_equal(prep: &PreparedSim, b1: usize, b2: usize) -> bool {
     if b1 == b2 {
         return true;
     }
-    prep.cols
-        .class()
-        .iter()
-        .zip(prep.cols.addr())
-        .all(|(c, &a)| {
-            !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
-                || (a as usize) % b1 == (a as usize) % b2
-        })
+    prep.accesses().all(|(c, a)| {
+        !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
+            || (a as usize) % b1 == (a as usize) % b2
+    })
 }
 
 /// The order in which to run `cfgs` through one [`SweepSession`] to
@@ -437,6 +447,12 @@ pub fn plan_order(cfgs: &[SystemConfig]) -> Vec<usize> {
     idx
 }
 
+/// The fewest configurations for which [`run_group`] renumbers its
+/// arena: the engine group of the simulator bench puts the break-even
+/// of [`PreparedSim::in_schedule_order`] at one to three full runs on
+/// somier, and a session replays part of most runs.
+const RENUMBER_MIN_RUNS: usize = 4;
+
 /// Runs every configuration through one [`SweepSession`] in
 /// [`plan_order`], returning reports in the **caller's** order. The
 /// session-per-trace building block of the sweep planner (the bench
@@ -447,7 +463,13 @@ pub fn run_group(
     opts: SimOptions,
     cfgs: &[SystemConfig],
 ) -> Vec<SimReport> {
-    let mut sess = SweepSession::new(prep, opts);
+    // Renumbering pays for itself within a few runs; a smaller group
+    // runs on the arena as numbered.
+    let mut sess = if cfgs.len() >= RENUMBER_MIN_RUNS {
+        SweepSession::new(prep, opts)
+    } else {
+        SweepSession::over(prep, opts)
+    };
     let mut out: Vec<Option<SimReport>> = (0..cfgs.len()).map(|_| None).collect();
     let order = plan_order(cfgs);
     for (k, &i) in order.iter().enumerate() {
@@ -735,12 +757,9 @@ mod tests {
         let trace = spad_stream_trace(16);
         let prep = Arc::new(PreparedSim::new(&trace).unwrap());
         let spad_addrs: Vec<u64> = prep
-            .cols
-            .class()
-            .iter()
-            .zip(prep.cols.addr())
+            .accesses()
             .filter(|(c, _)| matches!(c, OpClass::SpadLoad | OpClass::SpadStore))
-            .map(|(_, &a)| a)
+            .map(|(_, a)| a)
             .collect();
         assert!(!spad_addrs.is_empty());
         assert!(spad_addrs.iter().all(|&a| a < 16));

@@ -2,13 +2,17 @@
 //! global allocator (a binary of its own: the allocator is
 //! process-wide, and the one test below runs alone in it).
 //!
-//! The ledger: a `PreparedSim` holds the trace's shared column block
-//! (an `Arc` clone, no allocation) plus 4 bytes of initial indegree and
-//! 4 of successor offset per node, 4 per dependence edge and the root
-//! list. One simulation's run state is an 8-byte ready/indegree word
-//! per node (plus a side table for nodes with 2^24 - 1 or more
-//! dependences, which no registry trace has); the event wheel, wait
-//! queues, MSHRs and cache come on top and do not grow with the trace.
+//! The ledger: a `PreparedSim` owns, per node, a 4-byte key (its trace
+//! id), one packed class | flags byte, 4 bytes of initial indegree and
+//! 4 of successor offset; 4 bytes per dependence edge; 8 bytes per
+//! cache or scratchpad address plus a 16-byte presence block per 64
+//! nodes; 8 bytes per stream; and the root list. Renumbering it in
+//! schedule order holds one 4-byte scratch word per node, plus one
+//! count per level, on top of the new arena. One
+//! simulation's run state is an 8-byte ready/indegree word per node
+//! (plus a side table for nodes with 2^24 - 1 or more dependences, which
+//! no registry trace has); the event wheel, wait queues, MSHRs and cache
+//! come on top and do not grow with the trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,7 +20,7 @@ use tapeflow_autodiff::Gradient;
 use tapeflow_benchmarks::{by_name, Benchmark, Scale};
 use tapeflow_core::{compile, CompileOptions};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
-use tapeflow_ir::{ArrayId, Function, InstId, Memory, NodeId, Trace};
+use tapeflow_ir::{ArrayId, Function, InstId, Memory, NodeId, OpClass, Trace};
 use tapeflow_sim::{simulate_prepared, PreparedSim, SimOptions, SystemConfig};
 
 /// Bytes currently allocated, and the most allocated at once since the
@@ -104,29 +108,76 @@ fn trace_of(bench: &Benchmark, grad: &Gradient, func: &Function, barrier: InstId
 /// room than one more 8-byte per-node array would take.
 const RUN_FIXED: usize = 160 << 10;
 
-/// Checks the bytes `PreparedSim::new` keeps for `trace` against the
-/// arena's exact ledger, and the peak bytes one simulation allocates
-/// against 8 per node plus [`RUN_FIXED`].
+/// Checks the bytes `PreparedSim::new` and
+/// `PreparedSim::in_schedule_order` keep for `trace` against the arena's
+/// exact ledger, their transient peaks above that (none for the first,
+/// 4 bytes per node plus the level counts for the second), and the peak
+/// bytes one simulation allocates on each against 8 per node plus
+/// [`RUN_FIXED`].
 fn check_footprint(label: &str, trace: &Trace) {
     let n = trace.len();
     let edges = trace.edge_count();
     let roots = (0..n)
         .filter(|&i| trace.deps(NodeId::new(i)).is_empty())
         .count();
+    let class = trace.columns().class();
+    let count = |f: fn(&OpClass) -> bool| class.iter().filter(|c| f(c)).count();
+    let addrs = count(|c| {
+        matches!(
+            c,
+            OpClass::MemLoad | OpClass::MemStore | OpClass::SpadLoad | OpClass::SpadStore
+        )
+    });
+    let streams = count(|c| *c == OpClass::Stream);
 
     let before = Counting::reset_peak();
-    let prep = PreparedSim::new(trace).unwrap();
+    let plain = PreparedSim::new(trace).unwrap();
     let kept = LIVE.load(Ordering::Relaxed) - before;
-    // Indegrees and successor offsets (`n + 1`), the successor payload
-    // and the root list, whose pushes may leave it up to twice its
-    // length.
-    let ledger = 4 * n + 4 * (n + 1) + 4 * edges + 8 * roots;
+    let scratch = PEAK.load(Ordering::Relaxed) - before - kept;
+    // Keys, class bytes, indegrees and successor offsets (`n + 1`), the
+    // successor payload, the sparse addresses with their presence
+    // blocks, the stream sizes and the root list, whose pushes may
+    // leave it up to twice its length.
+    let ledger = 4 * n
+        + n
+        + 4 * n
+        + 4 * (n + 1)
+        + 4 * edges
+        + 8 * addrs
+        + 16 * n.div_ceil(64)
+        + 8 * streams
+        + 8 * roots;
     eprintln!(
-        "{label}: {n} nodes, {edges} edges, {roots} roots; the arena keeps {kept} B \
-         (ledger {ledger} B, {:.2} B/node)",
-        kept as f64 / n as f64
+        "{label}: {n} nodes, {edges} edges, {addrs} addresses, {roots} roots; the arena \
+         keeps {kept} B (ledger {ledger} B, {:.2} B/node); building it peaks {scratch} B \
+         ({:.2} B/node) higher",
+        kept as f64 / n as f64,
+        scratch as f64 / n as f64
     );
     assert!(kept <= ledger, "{label}: arena over its ledger");
+    // The root list's growth is the only scratch.
+    assert!(
+        scratch <= 4 * roots,
+        "{label}: build scratch above the arena"
+    );
+
+    let before = Counting::reset_peak();
+    let prep = plain.in_schedule_order();
+    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let scratch = PEAK.load(Ordering::Relaxed) - before - kept;
+    eprintln!(
+        "{label}: in schedule order the arena keeps {kept} B; renumbering peaks \
+         {scratch} B ({:.2} B/node) higher",
+        scratch as f64 / n as f64
+    );
+    assert!(kept <= ledger, "{label}: renumbered arena over its ledger");
+    // The level counts number at most one per node, and far fewer on
+    // any trace with parallelism: a quarter of the nodes here.
+    assert!(
+        scratch <= 4 * n + n,
+        "{label}: renumbering scratch over 5 B/node above the arena"
+    );
+    drop(plain);
 
     let before = Counting::reset_peak();
     let report = simulate_prepared(&prep, &SystemConfig::default(), &SimOptions::default());
