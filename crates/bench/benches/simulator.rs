@@ -3,10 +3,11 @@
 //!
 //! `simulate` times arena construction plus one run on pathfinder,
 //! whose run state fits in L2; `engine` times `PreparedSim::new`,
-//! `PreparedSim::in_schedule_order` and `simulate_prepared` on both
+//! `PreparedSim::order_by_schedule` and `simulate_prepared` on both
 //! numberings separately on somier at Small and prints them per node,
-//! the figures ROADMAP's per-node table quotes. Run with `cargo bench -p tapeflow-bench --bench
-//! simulator`.
+//! the figures ROADMAP's per-node table quotes. Run with
+//! `cargo bench -p tapeflow-bench --bench simulator` (add `-- engine`
+//! for that group alone).
 
 use tapeflow_bench::microbench::Group;
 use tapeflow_benchmarks::{by_name, Scale};
@@ -56,24 +57,26 @@ fn bench_simulate() {
 
 /// The arena builds and the engine apart, on a trace whose run state
 /// (8 B/node) is far larger than L2: `prep` is one `PreparedSim::new`,
-/// `order` one `in_schedule_order` of its result, and `run` and
-/// `run-ordered` one `simulate_prepared` on each numbering, with the
-/// arenas built outside the timed closures. The break-even is the
-/// renumbering's cost in the runs it saves (medians): a sweep of more
-/// configurations than that gains from renumbering its arena.
+/// `prep-ordered` the same plus `PreparedSim::order_by_schedule` (the
+/// renumbering costs the difference), and `run` and `run-ordered` one
+/// `simulate_prepared` on each numbering, with the arenas built outside
+/// the timed closures. The break-even is the renumbering's cost in the
+/// runs it saves (medians): a sweep of more configurations than that
+/// gains from renumbering its arena.
 fn bench_engine() {
     let group = Group::new("engine", 10);
     for (label, tf) in [("enzyme", false), ("tapeflow", true)] {
         let trace = traced("somier", tf);
-        let build = group.bench(format!("somier/{label}/prep"), || {
-            PreparedSim::new(&trace).expect("fits the arena limits")
-        });
-        let plain = PreparedSim::new(&trace).expect("fits the arena limits");
-        drop(trace);
-        let order = group.bench(format!("somier/{label}/order"), || {
-            plain.in_schedule_order()
-        });
-        let ordered = plain.in_schedule_order();
+        let build = |order: bool| {
+            let prep = PreparedSim::new(&trace).expect("fits the arena limits");
+            if order {
+                prep.order_by_schedule();
+            }
+            prep
+        };
+        let prep = group.bench(format!("somier/{label}/prep"), || build(false));
+        let prep_ordered = group.bench(format!("somier/{label}/prep-ordered"), || build(true));
+        let (plain, ordered) = (build(false), build(true));
         let cfg = SystemConfig::baseline_32k();
         let run = group.bench(format!("somier/{label}/run"), || {
             simulate_prepared(&plain, &cfg, &SimOptions::default())
@@ -81,17 +84,19 @@ fn bench_engine() {
         let run_ordered = group.bench(format!("somier/{label}/run-ordered"), || {
             simulate_prepared(&ordered, &cfg, &SimOptions::default())
         });
-        let per_node = |d: std::time::Duration| d.as_nanos() as f64 / plain.len() as f64;
-        let saved = run.median.as_secs_f64() - run_ordered.median.as_secs_f64();
+        let secs = |d: std::time::Duration| d.as_secs_f64();
+        let per_node = |s: f64| s * 1e9 / plain.len() as f64;
+        let order = secs(prep_ordered.median) - secs(prep.median);
+        let saved = secs(run.median) - secs(run_ordered.median);
         println!(
             "engine/somier/{label:<9} {} nodes  median ns/node: prep {:.1} order {:.1} \
              run {:.1} run-ordered {:.1}  break-even {:.2} runs",
             plain.len(),
-            per_node(build.median),
-            per_node(order.median),
-            per_node(run.median),
-            per_node(run_ordered.median),
-            order.median.as_secs_f64() / saved
+            per_node(secs(prep.median)),
+            per_node(order),
+            per_node(secs(run.median)),
+            per_node(secs(run_ordered.median)),
+            order / saved
         );
     }
 }

@@ -88,7 +88,9 @@ fn assert_engines_agree(label: &str, trace: &Trace, sys: &SystemConfig) -> Obser
         record_node_times: true,
     };
     let plain = PreparedSim::new(trace).expect("arena");
-    let ordered = plain.in_schedule_order();
+    let ordered = PreparedSim::new(trace).expect("arena");
+    ordered.order_by_schedule();
+    assert!(!plain.is_schedule_ordered() && ordered.is_schedule_ordered());
     let oracle = observe(label, trace, |p| {
         oracle::simulate_probed(trace, sys, &opts, p)
     });

@@ -19,8 +19,8 @@
 //!
 //! Per-node metadata is stored as columns, each filled by a plain push.
 //! The columns the simulator reads (class, flags, address) form one
-//! [`NodeColumns`] block, which the simulator's arena packs into its
-//! own layout; the instruction column sits beside it.
+//! [`NodeColumns`] block behind an `Arc`, which the simulator's arena
+//! shares instead of copying; the instruction column sits beside it.
 //! Metadata that is constant on almost every node is not a column: a
 //! node's byte count follows from its class except on streams, which
 //! keep theirs in a sparse list, and its layer follows from the sorted
@@ -41,6 +41,7 @@ use crate::ids::{InstId, NodeId};
 use crate::interp::{execute, spad_entries, ExecError, ExecHook, MemEffect};
 use crate::memory::{Memory, DRAM_BASE};
 use crate::ops::{Op, OpClass};
+use std::sync::Arc;
 
 /// Which half of the gradient program a node belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -70,7 +71,8 @@ pub const FLAG_STREAM_IN: u8 = 1 << 2;
 
 /// The per-node columns a simulator arena reads, indexed by node id and
 /// all of the trace's length, plus the transfer size of every stream.
-/// See [`Trace::columns`].
+/// A [`Trace`] holds them behind an [`Arc`] so an arena built from it
+/// shares them instead of copying them (see [`Trace::columns`]).
 #[derive(Clone, Debug, Default)]
 pub struct NodeColumns {
     class: Vec<OpClass>,
@@ -116,6 +118,29 @@ impl NodeColumns {
         }
     }
 
+    /// The same nodes renumbered: node `b` of the result is node
+    /// `order[b]` of `self`. `order` must be a permutation of the node
+    /// ids.
+    pub fn permuted(&self, order: &[u32]) -> NodeColumns {
+        debug_assert_eq!(order.len(), self.class.len());
+        let mut out = NodeColumns {
+            class: Vec::with_capacity(order.len()),
+            flags: Vec::with_capacity(order.len()),
+            addr: Vec::with_capacity(order.len()),
+            streams: Vec::with_capacity(self.streams.len()),
+        };
+        for (b, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            out.class.push(self.class[i]);
+            out.flags.push(self.flags[i]);
+            out.addr.push(self.addr[i]);
+            if self.class[i] == OpClass::Stream {
+                out.streams.push((b as u32, self.bytes(i)));
+            }
+        }
+        out
+    }
+
     /// Whether node `i` is a tape access.
     #[inline]
     pub fn is_tape(&self, i: usize) -> bool {
@@ -138,7 +163,7 @@ impl NodeColumns {
 pub struct Trace {
     /// Name of the traced function.
     pub name: String,
-    cols: NodeColumns,
+    cols: Arc<NodeColumns>,
     /// The static instruction each node executed.
     insts: Vec<InstId>,
     /// The `SAlloc` nodes, each opening the next layer, in id order.
@@ -153,7 +178,7 @@ impl Trace {
     /// The class, flag and address columns and the stream sizes, in
     /// execution order (a valid topological order).
     #[inline]
-    pub fn columns(&self) -> &NodeColumns {
+    pub fn columns(&self) -> &Arc<NodeColumns> {
         &self.cols
     }
 
@@ -509,8 +534,8 @@ pub fn trace_function(
     let tracer = Tracer::new(func, mem, opts);
     let (mut tracer, _count) = execute(func, mem, tracer)?;
     check_edges(tracer.dep_dat.len())?;
-    // A trace may be kept for a whole experiment run; keep no growth
-    // slack alive with its columns.
+    // An arena sharing the columns may outlive the trace; keep no
+    // growth slack alive with them.
     let cols = &mut tracer.cols;
     cols.class.shrink_to_fit();
     cols.flags.shrink_to_fit();
@@ -518,7 +543,7 @@ pub fn trace_function(
     cols.streams.shrink_to_fit();
     Ok(Trace {
         name: func.name.clone(),
-        cols: tracer.cols,
+        cols: Arc::new(tracer.cols),
         insts: tracer.insts,
         salloc: tracer.salloc,
         dep_off: tracer.dep_off,

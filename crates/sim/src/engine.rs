@@ -13,14 +13,15 @@
 //!
 //! The scheduler runs off a [`PreparedSim`] arena — config-independent
 //! and built once per trace, then reused across an entire parameter
-//! sweep. A sweep session renumbers its arena in ASAP-level order
-//! ([`PreparedSim::in_schedule_order`]), roughly the order the scheduler
-//! visits nodes, so a completion's successor walk and each drained batch
-//! touch nearby entries of the per-node arrays rather than random ones.
-//! Under any numbering every node keeps its trace id as its key: the
-//! loops order each same-cycle batch by key, which is the trace order
-//! the schedule is defined in, and report keys to probes and in
-//! `node_finish`. The hot loop reads only that arena, keeps a single
+//! sweep. It starts in trace order, sharing the trace's class, flag and
+//! address columns; the first sweep session renumbers it in ASAP-level
+//! order ([`PreparedSim::order_by_schedule`]), roughly the order the
+//! scheduler visits nodes, so a completion's successor walk and each
+//! drained batch touch nearby entries of the per-node arrays rather than
+//! random ones. Under either numbering every node keeps its trace id as
+//! its key: the loops order each same-cycle batch by key, which is the
+//! trace order the schedule is defined in, and report keys to probes and
+//! in `node_finish`. The hot loop reads only that arena, keeps a single
 //! reusable conflict scratch buffer instead of a per-cycle allocation,
 //! and **gap-skips**: whenever nothing can issue before the next
 //! engine-free or node-ready boundary, time jumps straight there
@@ -57,7 +58,7 @@
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};
-use crate::prep::{PreparedSim, FINISH_LIMIT};
+use crate::prep::{Arena, PreparedSim, FINISH_LIMIT};
 use crate::probe::{CacheAccessEvent, NoProbe, ProbeGeometry, SimProbe};
 use crate::report::{EnergyReport, SimReport};
 use std::collections::{BinaryHeap, VecDeque};
@@ -126,6 +127,16 @@ pub fn simulate_prepared_probed<P: SimProbe>(
     opts: &SimOptions,
     probe: &mut P,
 ) -> SimReport {
+    simulate_arena(&prep.arena(), cfg, opts, probe)
+}
+
+/// [`simulate_prepared_probed`] on one numbering of the arena.
+pub(crate) fn simulate_arena<P: SimProbe>(
+    prep: &Arena,
+    cfg: &SystemConfig,
+    opts: &SimOptions,
+    probe: &mut P,
+) -> SimReport {
     if prep.n == 0 {
         return SimReport::default();
     }
@@ -152,7 +163,7 @@ pub fn simulate_prepared_probed<P: SimProbe>(
 /// [`dataflow_ok`] selects, and finalizes the report. With `REC = true`
 /// the loop appends to `rec` and takes its scheduled checkpoints.
 pub(crate) fn run_unprobed<const REC: bool>(
-    prep: &PreparedSim,
+    prep: &Arena,
     cfg: &SystemConfig,
     opts: &SimOptions,
     mut st: SchedState,
@@ -170,7 +181,7 @@ pub(crate) fn run_unprobed<const REC: bool>(
 /// Whether `prep` on `cfg` is served by the pure event loop
 /// ([`dataflow_loop`]) when unprobed: no scratchpad or stream nodes, at
 /// least one cache port, and the analytic-server preconditions hold.
-fn dataflow_ok(prep: &PreparedSim, cfg: &SystemConfig) -> bool {
+fn dataflow_ok(prep: &Arena, cfg: &SystemConfig) -> bool {
     prep.n > 0 && !prep.spad_or_stream() && cfg.cache.ports >= 1 && analytic_ok(cfg)
 }
 
@@ -313,22 +324,22 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub(crate) fn new(prep: &PreparedSim, cfg: &SystemConfig) -> Self {
+    pub(crate) fn new(prep: &Arena, cfg: &SystemConfig) -> Self {
         let mut events = EventQ::new(wheel_slots(prep.n));
-        for &r in &prep.roots {
-            events.push(0, r);
+        let mut pend = Vec::with_capacity(prep.n);
+        let mut wide = Vec::new();
+        for (a, k) in (0u32..).zip(prep.indegrees()) {
+            if k == 0 {
+                events.push(0, a);
+            }
+            if u64::from(k) >= IND_WIDE {
+                wide.push((a, k));
+            }
+            pend.push(u64::from(k).min(IND_WIDE));
         }
         SchedState {
-            pend: prep
-                .indeg0
-                .iter()
-                .map(|&k| u64::from(k).min(IND_WIDE))
-                .collect(),
-            wide: (0u32..)
-                .zip(&prep.indeg0)
-                .filter(|&(_, &k)| u64::from(k) >= IND_WIDE)
-                .map(|(i, &k)| (i, k))
-                .collect(),
+            pend,
+            wide,
             events,
             q_fp: VecDeque::with_capacity(64),
             q_int: VecDeque::with_capacity(64),
@@ -381,17 +392,19 @@ impl SchedState {
 
 /// A node's place in a same-cycle batch: its key (trace id) above its
 /// arena id, so sorting the words orders the batch by key and the low
-/// half recovers the node.
+/// half recovers the node. An empty `key` is trace order, where the
+/// arena id is the key.
 #[inline(always)]
 fn by_key(key: &[u32], id: u32) -> u64 {
-    u64::from(key[id as usize]) << 32 | u64::from(id)
+    let k = if key.is_empty() { id } else { key[id as usize] };
+    u64::from(k) << 32 | u64::from(id)
 }
 
 /// The per-cycle scheduler core: the fully announced loop (every issue
 /// reported to `probe`, any probe type), with stream gap-skipping. Runs
 /// probed simulations; unprobed ones go through [`run_unprobed`].
 fn run_core<P: SimProbe>(
-    prep: &PreparedSim,
+    prep: &Arena,
     cfg: &SystemConfig,
     opts: &SimOptions,
     probe: &mut P,
@@ -420,7 +433,7 @@ fn run_core<P: SimProbe>(
 /// ever driven with [`NoProbe`] (the sweep path is unprobed by
 /// construction); the recording hooks compile out under `REC = false`.
 fn core_loop<P: SimProbe, const REC: bool>(
-    prep: &PreparedSim,
+    prep: &Arena,
     cfg: &SystemConfig,
     st: &mut SchedState,
     cache: &mut Cache,
@@ -428,7 +441,10 @@ fn core_loop<P: SimProbe, const REC: bool>(
     probe: &mut P,
 ) {
     let n = prep.n;
-    let key = &prep.key[..n];
+    let class = &prep.cols.class()[..n];
+    let flags = &prep.cols.flags()[..n];
+    let addr = &prep.cols.addr()[..n];
+    let key = &prep.key[..];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
 
@@ -469,7 +485,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
             for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
                 if let Some(ready) = st.dep_done(*s, fin) {
                     if phase_barrier_idx == Some(*s as usize) {
-                        probe.on_barrier_ready(st.now, ready, key[*s as usize]);
+                        probe.on_barrier_ready(st.now, ready, prep.key_of(*s));
                     }
                     if $merge && ready == st.now {
                         side.push(std::cmp::Reverse(by_key(key, *s)));
@@ -534,7 +550,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                     }
                 };
                 let id = word as u32;
-                match prep.class(id as usize) {
+                match class[id as usize] {
                     OpClass::Sync => {
                         // Barriers and SAlloc cost nothing by themselves.
                         if merge {
@@ -548,7 +564,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                     OpClass::MemLoad | OpClass::MemStore => st.q_mem.push_back(id),
                     OpClass::SpadLoad | OpClass::SpadStore => st.q_spad.push_back(id),
                     OpClass::Stream => {
-                        let dir = usize::from(prep.flags(id as usize) & FLAG_STREAM_IN != 0);
+                        let dir = usize::from(flags[id as usize] & FLAG_STREAM_IN != 0);
                         st.q_stream[dir].push_back(id);
                     }
                 }
@@ -562,13 +578,13 @@ fn core_loop<P: SimProbe, const REC: bool>(
             let Some(id) = st.q_fp.pop_front() else { break };
             fp_left -= 1;
             st.report.fp_ops += 1;
-            let c = prep.class(id as usize);
+            let c = class[id as usize];
             let lat = match c {
                 OpClass::FpAlu => cfg.pe.fp_alu_latency,
                 OpClass::FpMul => cfg.pe.fp_mul_latency,
                 _ => cfg.pe.fp_long_latency,
             };
-            probe.on_fp_issue(st.now, st.now + lat, c, key[id as usize]);
+            probe.on_fp_issue(st.now, st.now + lat, c, prep.key_of(id));
             complete!(id, st.now + lat);
         }
 
@@ -579,7 +595,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
             };
             int_left -= 1;
             st.report.int_ops += 1;
-            probe.on_int_issue(st.now, st.now + cfg.pe.int_latency, key[id as usize]);
+            probe.on_int_issue(st.now, st.now + cfg.pe.int_latency, prep.key_of(id));
             complete!(id, st.now + cfg.pe.int_latency);
         }
 
@@ -589,10 +605,10 @@ fn core_loop<P: SimProbe, const REC: bool>(
         let mut ports_left = cfg.cache.ports;
         while ports_left > 0 {
             let Some(&id) = st.q_mem.front() else { break };
-            let f = prep.flags(id as usize);
-            let is_write = prep.class(id as usize) == OpClass::MemStore;
+            let f = flags[id as usize];
+            let is_write = class[id as usize] == OpClass::MemStore;
             let (is_tape, is_rev) = (f & FLAG_TAPE != 0, f & FLAG_REV != 0);
-            let a = prep.addr(id as usize);
+            let a = addr[id as usize];
             let res = cache.access(a, is_write);
             // A miss claims the first slot with the minimum free time
             // (same pick as the iterator-based scan this replaced);
@@ -631,9 +647,9 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 let (_, fin) = st.dram.transfer(start, line_bytes);
                 st.mshr[mshr_slot] = fin;
                 st.q_mem.pop_front();
-                probe.on_mshr_stall(st.now, is_tape, key[id as usize]);
+                probe.on_mshr_stall(st.now, is_tape, prep.key_of(id));
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: key[id as usize],
+                    node: prep.key_of(id),
                     now: st.now,
                     fin: fin + cfg.cache.hit_latency,
                     port: cfg.cache.ports - ports_left,
@@ -654,7 +670,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 st.report.cache.tape_hits += u64::from(is_tape);
                 st.report.cache.rev_hits += u64::from(is_rev);
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: key[id as usize],
+                    node: prep.key_of(id),
                     now: st.now,
                     fin: st.now + cfg.cache.hit_latency,
                     port,
@@ -677,7 +693,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
                 let (_, fin) = st.dram.transfer(st.now, line_bytes);
                 st.mshr[mshr_slot] = fin;
                 probe.on_cache_access(&CacheAccessEvent {
-                    node: key[id as usize],
+                    node: prep.key_of(id),
                     now: st.now,
                     fin: fin + cfg.cache.hit_latency,
                     port,
@@ -701,15 +717,15 @@ fn core_loop<P: SimProbe, const REC: bool>(
                     break;
                 };
                 scanned += 1;
-                let bank = (prep.addr(id as usize) as usize) % cfg.spad.banks.max(1);
+                let bank = (addr[id as usize] as usize) % cfg.spad.banks.max(1);
                 if banks_used & (1u64 << bank) == 0 {
                     banks_used |= 1u64 << bank;
                     st.report.spad_accesses += 1;
-                    let node = key[id as usize];
+                    let node = prep.key_of(id);
                     probe.on_spad_access(st.now, st.now + cfg.spad.latency, bank, node);
                     complete!(id, st.now + cfg.spad.latency);
                 } else {
-                    probe.on_spad_conflict(st.now, bank, key[id as usize]);
+                    probe.on_spad_conflict(st.now, bank, prep.key_of(id));
                     stash.push(id);
                 }
             }
@@ -722,12 +738,12 @@ fn core_loop<P: SimProbe, const REC: bool>(
         for dir in 0..2 {
             if st.stream_free[dir] <= st.now {
                 if let Some(id) = st.q_stream[dir].pop_front() {
-                    let bytes = u64::from(prep.stream_bytes(id as usize));
+                    let bytes = u64::from(prep.cols.bytes(id as usize));
                     st.report.stream_cmds += 1;
                     st.report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = st.dram.transfer(st.now, bytes);
                     st.stream_free[dir] = bw_done;
-                    probe.on_stream(st.now, bw_done, fin, dir, bytes, key[id as usize]);
+                    probe.on_stream(st.now, bw_done, fin, dir, bytes, prep.key_of(id));
                     complete!(id, fin);
                 }
             }
@@ -781,7 +797,7 @@ fn core_loop<P: SimProbe, const REC: bool>(
 fn finalize(
     mut st: SchedState,
     cache: Cache,
-    prep: &PreparedSim,
+    prep: &Arena,
     cfg: &SystemConfig,
     opts: &SimOptions,
 ) -> SimReport {
@@ -812,8 +828,8 @@ fn finalize(
     recompute_energy(&mut report, cfg);
     if opts.record_node_times {
         let mut times = vec![0; prep.n];
-        for (a, &i) in prep.key.iter().enumerate() {
-            times[i as usize] = st.finish_time(a);
+        for a in 0..prep.n {
+            times[prep.key_of(a as u32) as usize] = st.finish_time(a);
         }
         report.node_finish = Some(times);
     }
@@ -1194,14 +1210,17 @@ impl Recording {
 /// boundaries — the raw material for [`crate::sweep`]'s incremental
 /// re-simulation. The recording hooks compile out under `REC = false`.
 fn dataflow_loop<const REC: bool>(
-    prep: &PreparedSim,
+    prep: &Arena,
     cfg: &SystemConfig,
     st: &mut SchedState,
     cache: &mut Cache,
     rec: &mut Recording,
 ) {
     let n = prep.n;
-    let key = &prep.key[..n];
+    let class = &prep.cols.class()[..n];
+    let flags = &prep.cols.flags()[..n];
+    let addr = &prep.cols.addr()[..n];
+    let key = &prep.key[..];
     let succ_off = &prep.succ_off[..n + 1];
     let succ_dat = &prep.succ_dat[..];
     let line_bytes = cache.config().line_bytes as u64;
@@ -1263,7 +1282,7 @@ fn dataflow_loop<const REC: bool>(
                 (None, None) => break,
             };
             let idu = word as u32 as usize;
-            let class = prep.class(idu);
+            let class = class[idu];
             match class {
                 // Barriers and SAlloc cost nothing by themselves; their
                 // same-cycle successors merge into the batch in key
@@ -1288,14 +1307,14 @@ fn dataflow_loop<const REC: bool>(
                 }
                 OpClass::MemLoad | OpClass::MemStore => {
                     let is_write = class == OpClass::MemStore;
-                    let f = prep.flags(idu);
+                    let f = flags[idu];
                     let (is_tape, is_rev) = (f & FLAG_TAPE != 0, f & FLAG_REV != 0);
                     // The memory queue follows the same closed form
                     // through the cache ports, with one extra rule at
                     // the stall site: a miss with no free MSHR ends its
                     // service cycle (head-of-line).
                     let s = st.mem_srv.issue_at(t, cfg.cache.ports);
-                    let a = prep.addr(idu);
+                    let a = addr[idu];
                     let res = cache.access(a, is_write);
                     // Only misses consult the MSHRs; the min-slot scan
                     // is skipped on the majority hit path.

@@ -1,35 +1,38 @@
 //! Config-independent simulation arena.
 //!
-//! A [`PreparedSim`] holds what the scheduler reads of a [`Trace`], in
-//! a numbering of its own: per node a 4-byte key (the node's trace id),
-//! one packed class | flags byte, 4 bytes of initial indegree and 4 of
-//! successor offset, plus 4 per dependence edge. Addresses are kept
-//! only for cache and scratchpad nodes, 8 bytes each, found by rank over
-//! a presence bitmap (16 bytes per 64 nodes); stream sizes are a sparse
-//! list. The arena owns all of it, so it may outlive the trace it was
-//! built from. None of it depends on the [`crate::SystemConfig`], so a
-//! parameter sweep that only perturbs cache/scratchpad/DRAM settings
-//! re-simulates from this shared prefix instead of rebuilding it per
-//! configuration (the bench harness keys the arena by program and the
-//! simulation result by the `SystemConfig::fingerprint` memo).
+//! A [`PreparedSim`] holds what the scheduler reads of a [`Trace`]: the
+//! trace's per-node class, flag and address columns and stream sizes,
+//! plus the successor CSR and initial indegrees. None of it depends on
+//! the [`crate::SystemConfig`], so a parameter sweep that only perturbs
+//! cache/scratchpad/DRAM settings re-simulates from this shared prefix
+//! instead of rebuilding it per configuration (the bench harness keys
+//! the arena by program and the simulation result by the
+//! `SystemConfig::fingerprint` memo).
 //!
-//! [`PreparedSim::new`] numbers nodes in trace order.
-//! [`PreparedSim::in_schedule_order`] renumbers them in the order the
-//! dataflow scheduler visits them, the way TapeFlow lays the gradient
-//! tape out in the order the reverse pass reads it: by ASAP level (a
-//! node's longest path from a root under fixed nominal per-class
-//! latencies, `nominal_latency`), sorted stably. The scheduler visits
-//! nodes roughly level by level, so a completion's successor walk and
-//! the batch it drains then read nearby entries instead of random ones
-//! across the whole trace. The numbering never shows: both loops break
-//! same-cycle ties on the key, and probes and `node_finish` receive it,
-//! so reports are byte-identical under either numbering.
+//! [`PreparedSim::new`] numbers nodes in trace order and shares the
+//! trace's column block (an `Arc` clone, no copy), adding 1 byte of
+//! initial indegree (counts of 255 or more sit in a side list) and 4 of
+//! successor offset per node, plus 4 per dependence edge. A sweep
+//! session replaces that arena, once, by one renumbered in the order
+//! the dataflow scheduler visits nodes
+//! ([`PreparedSim::order_by_schedule`]), the way TapeFlow lays the
+//! gradient tape out in the order the reverse pass reads it: by ASAP
+//! level (a node's longest path from a root under fixed nominal
+//! per-class latencies, `nominal_latency`), sorted stably. The
+//! scheduler visits nodes roughly level by level, so a completion's
+//! successor walk and the batch it drains then read nearby entries
+//! instead of random ones across the whole trace. The renumbered arena
+//! owns its columns in its own order (the trace's 10 bytes per node)
+//! and adds a 4-byte key per node, the node's trace id. The numbering
+//! never shows: both loops break same-cycle ties on the key, and probes
+//! and `node_finish` receive it, so reports are byte-identical under
+//! either numbering.
 
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, RwLock};
 use tapeflow_ir::trace::{EDGE_LIMIT, FLAG_REV};
-use tapeflow_ir::{NodeId, OpClass, Trace};
+use tapeflow_ir::{NodeColumns, NodeId, OpClass, Trace};
 
 /// Finish times the scheduler can hold, exclusive: a run keeps each
 /// node's latest dependence finish time in the upper 40 bits of its
@@ -63,40 +66,6 @@ pub(crate) fn nominal_latency(c: OpClass) -> u32 {
     cycles as u32
 }
 
-/// Whether a node of class `c` carries an address the engine reads: a
-/// cache line address or a scratchpad entry.
-fn addressed(c: OpClass) -> bool {
-    matches!(
-        c,
-        OpClass::MemLoad | OpClass::MemStore | OpClass::SpadLoad | OpClass::SpadStore
-    )
-}
-
-/// The class packed into the low four bits of a class | flags byte.
-#[inline]
-fn unpack_class(cf: u8) -> OpClass {
-    match cf & 0xF {
-        0 => OpClass::FpAlu,
-        1 => OpClass::FpMul,
-        2 => OpClass::FpLong,
-        3 => OpClass::Int,
-        4 => OpClass::MemLoad,
-        5 => OpClass::MemStore,
-        6 => OpClass::SpadLoad,
-        7 => OpClass::SpadStore,
-        8 => OpClass::Stream,
-        _ => OpClass::Sync,
-    }
-}
-
-/// One packed byte per node: the class in the low four bits (its
-/// declaration index, which [`unpack_class`] inverts) and the trace's
-/// `FLAG_*` bits above.
-#[inline]
-fn pack_class(c: OpClass, flags: u8) -> u8 {
-    c as u8 | flags << 4
-}
-
 /// How far to shift levels right so that the largest, `max_level`,
 /// fits the `n + 1` buckets of an `n`-node counting sort. Every
 /// numbering schedules alike, so coarser levels cost only locality; a
@@ -108,54 +77,53 @@ fn level_shift(max_level: u32, n: usize) -> u32 {
         .unwrap_or(32)
 }
 
-/// Presence bits of 64 consecutive arena nodes (bit `a % 64` is set
-/// when node `a` carries an address) and the number of addressed nodes
-/// before them: node `a`'s address sits at `rank` plus the set bits
-/// below its own.
-#[derive(Clone, Copy, Debug)]
-struct AddrBlock {
-    has: u64,
-    rank: u32,
-}
+/// The smallest dependence count an arena keeps outside its one-byte
+/// indegree column.
+const WIDE_INDEG: u8 = u8::MAX;
 
 /// A [`Trace`] preprocessed for simulation, independent of any
-/// `SystemConfig`: the packed node columns, addresses and dependence
-/// CSR, all laid out in the arena's numbering (trace order, or schedule
-/// order after [`PreparedSim::in_schedule_order`]). Arena ids index
-/// every array here; `key` maps them back to trace ids.
-///
-/// Build once with [`PreparedSim::new`], then run any number of
-/// configurations through [`crate::engine::simulate_prepared`].
-#[derive(Clone, Debug)]
+/// `SystemConfig`. Build once with [`PreparedSim::new`], then run any
+/// number of configurations through [`crate::engine::simulate_prepared`]
+/// or a [`crate::SweepSession`]. The first session renumbers the arena
+/// in schedule order ([`PreparedSim::order_by_schedule`]) and every
+/// later run, cold or not, uses that numbering; only one numbering is
+/// kept at a time.
+#[derive(Debug)]
 pub struct PreparedSim {
+    arena: RwLock<Arc<Arena>>,
+}
+
+/// The arrays one numbering of a trace's nodes lays out; arena ids
+/// index every one of them.
+#[derive(Debug)]
+pub(crate) struct Arena {
     pub(crate) n: usize,
     /// The trace id of each arena node: the tie-break within a cycle
-    /// and the id probes and `node_finish` report.
+    /// and the id probes and `node_finish` report. Empty in trace
+    /// order, where every node is its own key ([`Arena::key_of`]).
     pub(crate) key: Vec<u32>,
-    /// Class | flags per node ([`pack_class`]).
-    cf: Vec<u8>,
-    /// Addresses of the cache and scratchpad nodes in arena order
-    /// (scratchpad accesses carry their entry index).
-    addr: Vec<u64>,
-    /// Locates each addressed node's entry in `addr`.
-    addr_at: Vec<AddrBlock>,
-    /// `(node, bytes)` per stream command, sorted by arena id.
-    streams: Vec<(u32, u32)>,
+    /// Class, flag and address columns and stream sizes in arena order:
+    /// the trace's own block in trace order, a permuted copy otherwise.
+    pub(crate) cols: Arc<NodeColumns>,
     /// Dependence count per node — each run's initial indegrees, which
-    /// `engine::SchedState::new` packs into its 8-byte run-state words.
-    pub(crate) indeg0: Vec<u32>,
+    /// `engine::SchedState::new` packs into its 8-byte run-state words
+    /// ([`Arena::indegrees`]). [`WIDE_INDEG`] marks a count of that or
+    /// more, kept in `indeg_wide`.
+    indeg0: Vec<u8>,
+    /// `(node, count)` per node whose count does not fit `indeg0`,
+    /// sorted by arena id: barriers and layer allocations, which wait
+    /// on every node since the previous one.
+    indeg_wide: Vec<(u32, u32)>,
     /// CSR successor offsets (`n + 1` entries).
     pub(crate) succ_off: Vec<u32>,
     /// CSR successor payload.
     pub(crate) succ_dat: Vec<u32>,
-    /// Nodes with no dependences, in arena order.
-    pub(crate) roots: Vec<u32>,
     /// Arena id of the FWD/REV phase barrier, if the trace has one.
     pub(crate) phase_barrier_idx: Option<usize>,
     /// Whether any node touches the scratchpad. Together with
-    /// [`PreparedSim::has_stream`] this decides which engine backend
-    /// applies and which `SystemConfig` parameter classes are relevant
-    /// to the trace at all (a sweep session chains across changes to a
+    /// [`Arena::has_stream`] this decides which engine backend applies
+    /// and which `SystemConfig` parameter classes are relevant to the
+    /// trace at all (a sweep session chains across changes to a
     /// subsystem the trace never exercises).
     pub(crate) has_spad: bool,
     /// Whether any node is a stream-engine command.
@@ -164,9 +132,6 @@ pub struct PreparedSim {
     /// of a sweep recording's outcome stream, precomputed so sessions
     /// don't rescan the class array.
     pub(crate) n_mem: usize,
-    /// This arena in schedule order, built on the first sweep session
-    /// over it and shared by the later ones.
-    ordered: OnceLock<Arc<PreparedSim>>,
 }
 
 impl PreparedSim {
@@ -195,58 +160,95 @@ impl PreparedSim {
         Ok(())
     }
 
-    /// Builds the arena for `trace`, numbered in trace order. Fails
-    /// (instead of silently truncating ids) when the trace exceeds the
-    /// 32-bit index limits. [`PreparedSim::in_schedule_order`] renumbers
-    /// it for arenas that serve many runs.
+    /// Builds the arena for `trace`, in trace order, sharing the trace's
+    /// columns. Fails (instead of silently truncating ids) when the
+    /// trace exceeds the 32-bit index limits.
     pub fn new(trace: &Trace) -> Result<Self, SimError> {
-        let n = trace.len();
-        Self::check_limits(n, trace.edge_count())?;
-        let cols = trace.columns();
-        let (class, flags) = (cols.class(), cols.flags());
+        Ok(PreparedSim {
+            arena: RwLock::new(Arc::new(Arena::new(trace)?)),
+        })
+    }
 
-        let mut cf = Vec::with_capacity(n);
+    /// Renumbers the arena in schedule order unless it already is:
+    /// worth the build, which takes a few times [`PreparedSim::new`]'s,
+    /// where one arena serves many runs, so every
+    /// [`crate::SweepSession`] calls it. The trace-order arena is
+    /// released once no run holds it. Reports from either numbering are
+    /// byte-identical.
+    pub fn order_by_schedule(&self) {
+        self.schedule_ordered();
+    }
+
+    /// Whether the arena is in schedule order.
+    pub fn is_schedule_ordered(&self) -> bool {
+        self.arena().is_renumbered()
+    }
+
+    /// The current arena. Runs hold it for their duration, so a
+    /// concurrent [`PreparedSim::order_by_schedule`] never moves nodes
+    /// under them.
+    pub(crate) fn arena(&self) -> Arc<Arena> {
+        Arc::clone(&self.arena.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// [`PreparedSim::order_by_schedule`], returning the renumbered
+    /// arena.
+    pub(crate) fn schedule_ordered(&self) -> Arc<Arena> {
+        let cur = self.arena();
+        if cur.is_renumbered() {
+            return cur;
+        }
+        drop(cur);
+        let mut slot = self.arena.write().unwrap_or_else(|e| e.into_inner());
+        if !slot.is_renumbered() {
+            *slot = Arc::new(slot.in_schedule_order());
+        }
+        Arc::clone(&slot)
+    }
+
+    /// Number of nodes in the prepared trace.
+    pub fn len(&self) -> usize {
+        self.arena().n
+    }
+
+    /// Whether the prepared trace is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Arena {
+    /// The trace-order arena for `trace`.
+    pub(crate) fn new(trace: &Trace) -> Result<Self, SimError> {
+        let n = trace.len();
+        PreparedSim::check_limits(n, trace.edge_count())?;
+        let cols = Arc::clone(trace.columns());
+
+        let mut has_spad = false;
+        let mut has_stream = false;
+        let mut n_mem = 0usize;
+        for c in cols.class() {
+            has_spad |= matches!(c, OpClass::SpadLoad | OpClass::SpadStore);
+            has_stream |= matches!(c, OpClass::Stream);
+            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
+        }
+        let phase_barrier_idx = cols.flags().iter().position(|f| f & FLAG_REV != 0);
+
         let mut indeg0 = Vec::with_capacity(n);
-        let mut addr_at = Vec::with_capacity(n.div_ceil(64));
-        let mut streams = Vec::new();
-        let mut roots = Vec::new();
-        let mut n_mem = 0;
+        let mut indeg_wide = Vec::new();
         // Successor counts land one slot up (`succ_off[d + 1]`), so the
         // prefix sum below leaves each node's start in `succ_off[d]`.
         let mut succ_off = vec![0u32; n + 1];
         for i in 0..n {
             let deps = trace.deps(NodeId::new(i));
-            if deps.is_empty() {
-                roots.push(i as u32);
+            indeg0.push(deps.len().min(WIDE_INDEG.into()) as u8);
+            if deps.len() >= WIDE_INDEG.into() {
+                indeg_wide.push((i as u32, deps.len() as u32));
             }
-            indeg0.push(deps.len() as u32);
             for d in deps {
                 succ_off[d.index() + 1] += 1;
             }
-            let c = class[i];
-            cf.push(pack_class(c, flags[i]));
-            if i % 64 == 0 {
-                addr_at.push(AddrBlock { has: 0, rank: 0 });
-            }
-            if addressed(c) {
-                addr_at[i / 64].has |= 1 << (i % 64);
-            } else if c == OpClass::Stream {
-                streams.push((i as u32, cols.bytes(i)));
-            }
-            n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
         }
-        let mut rank = 0;
-        for b in &mut addr_at {
-            b.rank = rank;
-            rank += b.has.count_ones();
-        }
-        let mut addr = Vec::with_capacity(rank as usize);
-        addr.extend(
-            (0..n)
-                .filter(|&i| addressed(class[i]))
-                .map(|i| cols.addr()[i]),
-        );
-        streams.shrink_to_fit();
 
         // Transpose the predecessor CSR: bump each node's start as its
         // successors fill in, which leaves `succ_off[d]` at `d`'s end, then
@@ -265,51 +267,47 @@ impl PreparedSim {
         succ_off.copy_within(0..n, 1);
         succ_off[0] = 0;
 
-        Ok(PreparedSim {
+        Ok(Arena {
             n,
-            key: (0..n as u32).collect(),
-            has_spad: addr.len() > n_mem,
-            has_stream: !streams.is_empty(),
-            n_mem,
-            cf,
-            addr,
-            addr_at,
-            streams,
+            key: Vec::new(),
+            cols,
             indeg0,
+            indeg_wide,
             succ_off,
             succ_dat,
-            roots,
-            phase_barrier_idx: flags.iter().position(|f| f & FLAG_REV != 0),
-            ordered: OnceLock::new(),
+            phase_barrier_idx,
+            has_spad,
+            has_stream,
+            n_mem,
         })
     }
 
-    /// The same arena renumbered in ASAP-level order, ties in the
-    /// current order, which the scheduler visits far more locally: worth
-    /// its build, which takes a few times [`PreparedSim::new`]'s, where
-    /// one arena serves many runs, as in a [`crate::SweepSession`].
-    /// Reports from either numbering are byte-identical. The current
-    /// numbering must be a topological order, as trace order and every
-    /// level order are.
-    pub fn in_schedule_order(&self) -> PreparedSim {
+    /// This trace-order arena renumbered by ASAP level, ties in trace
+    /// order.
+    pub(crate) fn in_schedule_order(&self) -> Arena {
+        debug_assert!(!self.is_renumbered(), "renumbers the trace-order arena");
         let n = self.n;
-        let lat: [u32; 10] = std::array::from_fn(|c| nominal_latency(unpack_class(c as u8)));
-        let lat_of = |a: usize| lat[(self.cf[a] & 0xF) as usize];
+        let class = &self.cols.class()[..n];
+        let mut lat = [0u32; 16];
+        for &c in class {
+            lat[c as usize] = nominal_latency(c);
+        }
 
         // Each node's level, pushed along its successor edges.
         let mut level = vec![0u32; n];
         let mut max_level = 0;
         for a in 0..n {
             max_level = max_level.max(level[a]);
-            let fin = level[a].saturating_add(lat_of(a));
+            let fin = level[a].saturating_add(lat[class[a] as usize]);
             for &s in self.succs(a) {
                 let l = &mut level[s as usize];
                 *l = (*l).max(fin);
             }
         }
 
-        // A stable counting sort by level: `next[l]` is level `l`'s
-        // next free id, and `level` turns into each node's new id.
+        // A stable counting sort by level: `next[l]` is level `l`'s next
+        // free id. `level` turns into each node's new id and `key` into
+        // the inverse, the node at each new id.
         let shift = level_shift(max_level, n);
         let mut next = vec![0u32; (max_level >> shift) as usize + 2];
         for &l in &level {
@@ -319,81 +317,81 @@ impl PreparedSim {
             next[l] += next[l - 1];
         }
         let mut key = vec![0u32; n];
-        let mut cf = vec![0u8; n];
-        let mut indeg0 = vec![0u32; n];
-        let mut succ_off = vec![0u32; n + 1];
-        let mut addr_at = vec![AddrBlock { has: 0, rank: 0 }; n.div_ceil(64)];
-        let mut streams = Vec::with_capacity(self.streams.len());
-        for a in 0..n {
-            let slot = &mut next[(level[a] >> shift) as usize];
-            let b = *slot as usize;
+        for (a, l) in level.iter_mut().enumerate() {
+            let slot = &mut next[(*l >> shift) as usize];
+            key[*slot as usize] = a as u32;
+            *l = *slot;
             *slot += 1;
-            level[a] = b as u32;
-            key[b] = self.key[a];
-            cf[b] = self.cf[a];
-            indeg0[b] = self.indeg0[a];
-            succ_off[b + 1] = self.succs(a).len() as u32;
-            if addressed(unpack_class(cf[b])) {
-                addr_at[b / 64].has |= 1 << (b % 64);
-            } else if unpack_class(cf[b]) == OpClass::Stream {
-                streams.push((b as u32, self.stream_bytes(a)));
-            }
         }
         drop(next);
         let new_id = level;
-        streams.sort_unstable();
-        for b in 0..n {
-            succ_off[b + 1] += succ_off[b];
-        }
-        let mut rank = 0;
-        for blk in &mut addr_at {
-            blk.rank = rank;
-            rank += blk.has.count_ones();
-        }
 
-        // Each successor list and address moves to its node's new place.
-        let mut succ_dat = vec![0u32; self.succ_dat.len()];
-        let mut addr = vec![0u64; self.addr.len()];
-        let mut out = PreparedSim {
+        // Everything else is gathered in the new order, so each array is
+        // written front to back.
+        let mut indeg0 = Vec::with_capacity(n);
+        let mut indeg_wide = Vec::with_capacity(self.indeg_wide.len());
+        let mut succ_off = Vec::with_capacity(n + 1);
+        let mut succ_dat = Vec::with_capacity(self.succ_dat.len());
+        succ_off.push(0);
+        for (b, &a) in key.iter().enumerate() {
+            let k = self.indeg0[a as usize];
+            if k == WIDE_INDEG {
+                indeg_wide.push((b as u32, self.indeg(a as usize)));
+            }
+            indeg0.push(k);
+            succ_dat.extend(self.succs(a as usize).iter().map(|&s| new_id[s as usize]));
+            succ_off.push(succ_dat.len() as u32);
+        }
+        Arena {
             n,
+            cols: Arc::new(self.cols.permuted(&key)),
             key,
-            cf,
-            addr: Vec::new(),
-            addr_at,
-            streams,
             indeg0,
+            indeg_wide,
             succ_off,
-            succ_dat: Vec::new(),
-            roots: Vec::new(),
+            succ_dat,
             phase_barrier_idx: self.phase_barrier_idx.map(|a| new_id[a] as usize),
             has_spad: self.has_spad,
             has_stream: self.has_stream,
             n_mem: self.n_mem,
-            ordered: OnceLock::new(),
-        };
-        for a in 0..n {
-            let b = new_id[a] as usize;
-            let start = out.succ_off[b] as usize;
-            for (k, &s) in self.succs(a).iter().enumerate() {
-                succ_dat[start + k] = new_id[s as usize];
-            }
-            if addressed(out.class(b)) {
-                addr[out.addr_index(b)] = self.addr(a);
-            }
         }
-        out.succ_dat = succ_dat;
-        out.addr = addr;
-        out.roots = self.roots.iter().map(|&a| new_id[a as usize]).collect();
-        out.roots.sort_unstable();
-        out
     }
 
-    /// [`PreparedSim::in_schedule_order`], built once per arena.
-    pub(crate) fn schedule_ordered(&self) -> Arc<PreparedSim> {
-        Arc::clone(
-            self.ordered
-                .get_or_init(|| Arc::new(self.in_schedule_order())),
-        )
+    /// Whether the arena is numbered other than in trace order.
+    pub(crate) fn is_renumbered(&self) -> bool {
+        !self.key.is_empty()
+    }
+
+    /// Arena node `a`'s trace id.
+    #[inline(always)]
+    pub(crate) fn key_of(&self, a: u32) -> u32 {
+        if self.key.is_empty() {
+            a
+        } else {
+            self.key[a as usize]
+        }
+    }
+
+    /// Arena node `a`'s dependence count.
+    pub(crate) fn indeg(&self, a: usize) -> u32 {
+        match self.indeg0[a] {
+            WIDE_INDEG => {
+                let k = self
+                    .indeg_wide
+                    .partition_point(|&(node, _)| (node as usize) < a);
+                self.indeg_wide[k].1
+            }
+            k => k.into(),
+        }
+    }
+
+    /// Every node's dependence count, in arena order.
+    pub(crate) fn indegrees(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut wide = self.indeg_wide.iter().map(|&(_, k)| k);
+        self.indeg0.iter().map(move |&k| match k {
+            WIDE_INDEG => wide.next().expect("a wide count per marked node"),
+            k => k.into(),
+        })
     }
 
     /// Arena node `a`'s successors.
@@ -409,58 +407,13 @@ impl PreparedSim {
         self.has_spad || self.has_stream
     }
 
-    /// Arena node `a`'s scheduling class.
-    #[inline]
-    pub(crate) fn class(&self, a: usize) -> OpClass {
-        unpack_class(self.cf[a])
-    }
-
-    /// Arena node `a`'s `FLAG_*` bits.
-    #[inline]
-    pub(crate) fn flags(&self, a: usize) -> u8 {
-        self.cf[a] >> 4
-    }
-
-    /// Arena node `a`'s address; `a` must be a cache or scratchpad node.
-    #[inline]
-    pub(crate) fn addr(&self, a: usize) -> u64 {
-        self.addr[self.addr_index(a)]
-    }
-
-    /// Where arena node `a`'s address sits in `addr`.
-    #[inline]
-    fn addr_index(&self, a: usize) -> usize {
-        let b = self.addr_at[a / 64];
-        debug_assert!(b.has >> (a % 64) & 1 == 1, "node {a} has no address");
-        let below = b.has & !(u64::MAX << (a % 64));
-        b.rank as usize + below.count_ones() as usize
-    }
-
-    /// Bytes stream node `a` moves.
-    pub(crate) fn stream_bytes(&self, a: usize) -> u32 {
-        let k = self
-            .streams
-            .partition_point(|&(node, _)| (node as usize) < a);
-        debug_assert_eq!(self.streams[k].0 as usize, a, "node {a} is no stream");
-        self.streams[k].1
-    }
-
-    /// Class and address of every cache and scratchpad node, in arena
-    /// order.
-    pub(crate) fn accesses(&self) -> impl Iterator<Item = (OpClass, u64)> + '_ {
-        (0..self.n)
-            .map(|a| self.class(a))
-            .filter(|&c| addressed(c))
-            .zip(self.addr.iter().copied())
-    }
-
-    /// Number of nodes in the prepared trace.
-    pub fn len(&self) -> usize {
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the prepared trace is empty.
-    pub fn is_empty(&self) -> bool {
+    /// Whether there are no nodes.
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 }
@@ -492,83 +445,65 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn class_bytes_round_trip() {
-        use OpClass::*;
-        let classes = [
-            FpAlu, FpMul, FpLong, Int, MemLoad, MemStore, SpadLoad, SpadStore, Stream, Sync,
-        ];
-        for (k, c) in classes.into_iter().enumerate() {
-            assert_eq!(c as usize, k, "{c:?}");
-            for flags in 0..8 {
-                let cf = pack_class(c, flags);
-                assert_eq!((unpack_class(cf), cf >> 4), (c, flags));
-            }
-        }
-    }
-
-    /// Checks `prep` against the trace it was built from: the
-    /// numbering, the columns, indegrees, the transposed CSR, roots and
-    /// phase barrier, all through `key`.
-    fn check_arena(trace: &Trace, prep: &PreparedSim) {
+    /// Checks `arena` against the trace it was built from: the
+    /// numbering, the columns, indegrees, the transposed CSR and phase
+    /// barrier, all through the key.
+    fn check_arena(trace: &Trace, arena: &Arena) {
         let n = trace.len();
         let cols = trace.columns();
         let deps = |i: usize| trace.deps(NodeId::new(i));
-        assert_eq!(prep.len(), n);
-        // `key` is a permutation, and the arena id of trace node `i` is
-        // `arena[i]`.
-        let mut arena = vec![u32::MAX; n];
-        for (a, &i) in prep.key.iter().enumerate() {
-            assert_eq!(arena[i as usize], u32::MAX, "trace node {i} twice");
-            arena[i as usize] = a as u32;
+        assert_eq!(arena.len(), n);
+        // The key is a permutation, and the arena id of trace node `i`
+        // is `at[i]`.
+        let mut at = vec![u32::MAX; n];
+        for a in 0..n as u32 {
+            let i = arena.key_of(a) as usize;
+            assert_eq!(at[i], u32::MAX, "trace node {i} twice");
+            at[i] = a;
         }
-        for (a, &i) in prep.key.iter().enumerate() {
-            let i = i as usize;
-            assert_eq!(prep.class(a), cols.class()[i], "node {i}");
-            assert_eq!(prep.flags(a), cols.flags()[i], "node {i}");
-            if addressed(prep.class(a)) {
-                assert_eq!(prep.addr(a), cols.addr()[i], "node {i}");
-            }
-            if prep.class(a) == OpClass::Stream {
-                assert_eq!(prep.stream_bytes(a), cols.bytes(i), "node {i}");
-            }
-            assert_eq!(prep.indeg0[a] as usize, deps(i).len(), "node {i}");
+        let ac = &arena.cols;
+        for a in 0..n {
+            let i = arena.key_of(a as u32) as usize;
+            assert_eq!(ac.class()[a], cols.class()[i], "node {i}");
+            assert_eq!(ac.flags()[a], cols.flags()[i], "node {i}");
+            assert_eq!(ac.addr()[a], cols.addr()[i], "node {i}");
+            assert_eq!(ac.bytes(a), cols.bytes(i), "node {i}");
+            assert_eq!(arena.indeg(a) as usize, deps(i).len(), "node {i}");
         }
-        assert_eq!(prep.succ_off.len(), n + 1);
-        assert_eq!(prep.succ_off[n] as usize, trace.edge_count());
-        assert_eq!(prep.succ_dat.len(), trace.edge_count());
+        let indeg: Vec<u32> = (0..n).map(|a| arena.indeg(a)).collect();
+        assert_eq!(arena.indegrees().collect::<Vec<_>>(), indeg);
+        assert_eq!(arena.succ_off.len(), n + 1);
+        assert_eq!(arena.succ_off[n] as usize, trace.edge_count());
+        assert_eq!(arena.succ_dat.len(), trace.edge_count());
         for i in 0..n {
             // Every predecessor edge appears exactly once as a successor;
             // with equal totals, the successor lists hold nothing else.
             for d in deps(i) {
-                let hits = prep
-                    .succs(arena[d.index()] as usize)
+                let hits = arena
+                    .succs(at[d.index()] as usize)
                     .iter()
-                    .filter(|&&s| s == arena[i])
+                    .filter(|&&s| s == at[i])
                     .count();
                 assert_eq!(hits, 1, "edge {} -> {i}", d.index());
             }
         }
-        let roots: Vec<u32> = (0..n as u32)
-            .filter(|&a| deps(prep.key[a as usize] as usize).is_empty())
-            .collect();
-        assert_eq!(prep.roots, roots);
         let first_rev = (0..n).find(|&i| cols.phase(i) == Phase::Rev);
-        assert_eq!(prep.phase_barrier_idx, first_rev.map(|i| arena[i] as usize));
+        assert_eq!(arena.phase_barrier_idx, first_rev.map(|i| at[i] as usize));
     }
 
     /// Builds both numberings of `trace`'s arena and checks them: trace
-    /// order for [`PreparedSim::new`], ASAP levels (coarsened to fit the
-    /// sort's buckets) with trace order within a level for
-    /// [`PreparedSim::in_schedule_order`], which a second renumbering
-    /// leaves as it is. Returns the level-ordered one.
-    fn check_arenas(trace: &Trace) -> PreparedSim {
+    /// order, sharing the trace's columns, for [`Arena::new`], and ASAP
+    /// levels (coarsened to fit the sort's buckets) with trace order
+    /// within a level for [`Arena::in_schedule_order`]. Returns the
+    /// level-ordered one.
+    fn check_arenas(trace: &Trace) -> Arena {
         let n = trace.len();
-        let plain = PreparedSim::new(trace).unwrap();
+        let plain = Arena::new(trace).unwrap();
         check_arena(trace, &plain);
-        assert_eq!(plain.key, (0..n as u32).collect::<Vec<_>>());
-        let prep = plain.in_schedule_order();
-        check_arena(trace, &prep);
+        assert!(!plain.is_renumbered());
+        assert!(Arc::ptr_eq(&plain.cols, trace.columns()));
+        let arena = plain.in_schedule_order();
+        check_arena(trace, &arena);
         let mut level = vec![0u32; n];
         for i in 0..n {
             level[i] = trace
@@ -579,13 +514,12 @@ mod tests {
                 .unwrap_or(0);
         }
         let shift = level_shift(level.iter().copied().max().unwrap_or(0), n);
-        for w in prep.key.windows(2) {
+        for w in arena.key.windows(2) {
             let (i, j) = (w[0] as usize, w[1] as usize);
             let at = |i: usize| (level[i] >> shift, i);
             assert!(at(i) < at(j), "nodes {i} and {j} out of order");
         }
-        assert_eq!(prep.in_schedule_order().key, prep.key);
-        prep
+        arena
     }
 
     #[test]
@@ -599,8 +533,28 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let prep = check_arenas(&trace);
-        assert_eq!(prep.phase_barrier_idx, None);
+        let arena = check_arenas(&trace);
+        assert_eq!(arena.phase_barrier_idx, None);
+    }
+
+    #[test]
+    fn arena_keeps_counts_past_a_byte() {
+        // A barrier waits on every node since the previous one: here
+        // 300 adds, and 299 more behind the second barrier.
+        let mut b = FunctionBuilder::new("t");
+        let one = b.f64(1.0);
+        for _ in 0..2 {
+            let mut v = b.f64(0.0);
+            for _ in 0..300 {
+                v = b.fadd(v, one);
+            }
+            b.push_inst(Op::Barrier, vec![]);
+        }
+        let f = b.finish();
+        let mut mem = Memory::for_function(&f);
+        let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
+        let arena = check_arenas(&trace);
+        assert_eq!(arena.indeg_wide.len(), 2, "{:?}", arena.indeg_wide);
     }
 
     #[test]
@@ -620,12 +574,11 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let prep = check_arenas(&trace);
-        let classes: Vec<OpClass> = (0..prep.len()).map(|a| prep.class(a)).collect();
+        let arena = check_arenas(&trace);
         let mut want = vec![OpClass::FpAlu];
         want.extend([OpClass::MemLoad; 8]);
         want.extend([OpClass::FpAlu; 7]);
-        assert_eq!(classes, want);
+        assert_eq!(arena.cols.class(), want);
     }
 
     /// FWD fills a scratchpad buffer and streams it out to the tape;
@@ -675,21 +628,21 @@ mod tests {
     #[test]
     fn arena_mirrors_a_stream_spad_barrier_trace() {
         let (trace, bar) = stream_spad_barrier_trace();
-        let prep = check_arenas(&trace);
-        assert!(prep.has_spad && prep.has_stream);
+        let arena = check_arenas(&trace);
+        assert!(arena.has_spad && arena.has_stream);
         assert_eq!(trace.layer_count(), 2);
         let layers: Vec<u32> = (0..trace.len()).map(|i| trace.layer(i)).collect();
         assert_eq!(layers, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]);
         // The barrier is the first REV node.
-        let barrier = prep.phase_barrier_idx.unwrap();
-        assert_eq!(prep.key[barrier], 5);
+        let barrier = arena.phase_barrier_idx.unwrap();
+        assert_eq!(arena.key[barrier], 5);
         assert_eq!(trace.insts()[5], bar);
         // Scratchpad accesses and streams are tape accesses; only the
         // `StreamIn` at trace node 7 runs on the inward engine.
         let with = |flag: u8| {
-            let mut ids: Vec<u32> = (0..prep.len())
-                .filter(|&a| prep.flags(a) & flag != 0)
-                .map(|a| prep.key[a])
+            let mut ids: Vec<u32> = (0..arena.len())
+                .filter(|&a| arena.cols.flags()[a] & flag != 0)
+                .map(|a| arena.key[a])
                 .collect();
             ids.sort_unstable();
             ids
@@ -699,15 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn arena_outlives_the_trace() {
+    fn arena_shares_the_trace_columns_and_outlives_the_trace() {
         let (trace, _) = stream_spad_barrier_trace();
         let prep = PreparedSim::new(&trace).unwrap();
+        assert!(Arc::ptr_eq(&prep.arena().cols, trace.columns()));
         let opts = SimOptions {
             record_node_times: true,
         };
         let cfg = SystemConfig::default();
         let before = simulate_prepared(&prep, &cfg, &opts);
         drop(trace);
+        let plain = Arc::downgrade(&prep.arena());
+        let after = simulate_prepared(&prep, &cfg, &opts);
+        assert_eq!(before.to_json().render(), after.to_json().render());
+        assert_eq!(before.node_finish, after.node_finish);
+        // Renumbering replaces the trace-order arena, which goes away
+        // with nothing else holding it, and changes no report.
+        assert!(!prep.is_schedule_ordered());
+        prep.order_by_schedule();
+        assert!(prep.is_schedule_ordered());
+        assert!(plain.upgrade().is_none(), "trace-order arena kept");
+        let ordered = prep.arena();
+        prep.order_by_schedule();
+        assert!(Arc::ptr_eq(&ordered, &prep.arena()), "renumbered twice");
         let after = simulate_prepared(&prep, &cfg, &opts);
         assert_eq!(before.to_json().render(), after.to_json().render());
         assert_eq!(before.node_finish, after.node_finish);

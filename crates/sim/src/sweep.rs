@@ -26,10 +26,10 @@
 //!      only the tail, re-recording it for the next configuration.
 //!
 //! A session renumbers its arena in schedule order
-//! ([`PreparedSim::in_schedule_order`]) once, up front: the runs of a
-//! ladder then walk the per-node arrays nearly in sequence, which pays
-//! for the renumbering within a few runs ([`run_group`] keeps smaller
-//! groups on the arena as numbered).
+//! ([`PreparedSim::order_by_schedule`]) unless an earlier session
+//! already did: the runs then walk the per-node arrays nearly in
+//! sequence, and every later session and cold run over the arena reuses
+//! the numbering.
 //!
 //! Ordering a ladder from large caches to small maximizes shared
 //! prefixes (neighbouring sizes behave identically until capacity
@@ -62,10 +62,11 @@
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::engine::{
-    recompute_energy, run_unprobed, simulate_prepared, Recording, SchedState, SimOptions,
+    recompute_energy, run_unprobed, simulate_arena, Recording, SchedState, SimOptions,
     REC_ADDR_MASK, REC_HIT, REC_SHIFT, REC_WB, REC_WRITE,
 };
-use crate::prep::PreparedSim;
+use crate::prep::{Arena, PreparedSim};
+use crate::probe::NoProbe;
 use crate::report::SimReport;
 use std::sync::Arc;
 use tapeflow_ir::OpClass;
@@ -141,12 +142,12 @@ pub(crate) fn ckpt_plan(nodes: usize, n_mem: usize) -> (u64, usize) {
 }
 
 /// A sweep-scoped simulation session over one prepared trace: same
-/// results as calling [`simulate_prepared`] per configuration, but
+/// results as calling [`simulate_prepared`](crate::simulate_prepared) per configuration, but
 /// configurations whose differences the replay can validate (cache
 /// geometry, scratchpad bank maps, energy tables) reuse the unchanged
 /// warm-up prefix of the previous run instead of re-simulating it.
 pub struct SweepSession {
-    prep: Arc<PreparedSim>,
+    prep: Arc<Arena>,
     opts: SimOptions,
     /// First-checkpoint position (accesses), derived from the trace's
     /// memory-node count; later checkpoints double from here.
@@ -181,16 +182,11 @@ impl std::fmt::Debug for SweepSession {
 }
 
 impl SweepSession {
-    /// A session over `prep`, renumbered for the many runs a session
-    /// makes ([`PreparedSim::in_schedule_order`], built on the first
-    /// session over `prep` and kept with it). `opts` applies to every
-    /// run.
+    /// A session over `prep`, renumbered in schedule order for the many
+    /// runs a session makes ([`PreparedSim::order_by_schedule`]).
+    /// `opts` applies to every run.
     pub fn new(prep: Arc<PreparedSim>, opts: SimOptions) -> SweepSession {
-        SweepSession::over(prep.schedule_ordered(), opts)
-    }
-
-    /// A session over `prep` as numbered.
-    fn over(prep: Arc<PreparedSim>, opts: SimOptions) -> SweepSession {
+        let prep = prep.schedule_ordered();
         let n_mem = prep.n_mem;
         let (interval, max_ckpts) = ckpt_plan(prep.len(), n_mem);
         SweepSession {
@@ -206,7 +202,7 @@ impl SweepSession {
 
     /// Simulates `cfg`, reusing the previous run's prefix when the
     /// configurations are sweep-compatible. Byte-identical to
-    /// [`simulate_prepared`] on the same inputs.
+    /// [`simulate_prepared`](crate::simulate_prepared) on the same inputs.
     pub fn simulate(&mut self, cfg: &SystemConfig) -> SimReport {
         self.simulate_lookahead(cfg, MANY)
     }
@@ -214,7 +210,7 @@ impl SweepSession {
     /// [`Self::simulate`] with a lookahead hint: `remaining` is the
     /// number of configurations still to run through this session
     /// after this one. The hint only tunes the recording effort —
-    /// results stay byte-identical to [`simulate_prepared`] for any
+    /// results stay byte-identical to [`simulate_prepared`](crate::simulate_prepared) for any
     /// value:
     ///
     /// * `remaining == 0`: nothing can consume a recording, so a run
@@ -230,7 +226,7 @@ impl SweepSession {
     pub fn simulate_lookahead(&mut self, cfg: &SystemConfig, remaining: usize) -> SimReport {
         if self.prep.is_empty() {
             // Nothing to record or replay.
-            return simulate_prepared(&self.prep, cfg, &self.opts);
+            return simulate_arena(&self.prep, cfg, &self.opts, &mut NoProbe);
         }
         let chains = matches!(&self.base, Some(b) if self.chains_with(&b.cfg, cfg));
         if chains {
@@ -294,7 +290,7 @@ impl SweepSession {
             // happen. The untouched base still truthfully describes
             // its own configuration, so the successor replays (and
             // early-diverges against) that instead.
-            return simulate_prepared(&self.prep, &cfg, &self.opts);
+            return simulate_arena(&self.prep, &cfg, &self.opts, &mut NoProbe);
         }
         let (ckpts, limit) = if !self.diverged {
             (0, u64::MAX)
@@ -415,15 +411,19 @@ fn replay_prefix(cfg: &SystemConfig, prefix: &[u64]) -> Cache {
 /// map). A pure trace property — no recording needed — so a session
 /// can chain across bank-count changes whenever it holds, and a trace
 /// with no scratchpad nodes trivially chains across any count.
-pub(crate) fn spad_map_equal(prep: &PreparedSim, b1: usize, b2: usize) -> bool {
+pub(crate) fn spad_map_equal(prep: &Arena, b1: usize, b2: usize) -> bool {
     let (b1, b2) = (b1.max(1), b2.max(1));
     if b1 == b2 {
         return true;
     }
-    prep.accesses().all(|(c, a)| {
-        !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
-            || (a as usize) % b1 == (a as usize) % b2
-    })
+    prep.cols
+        .class()
+        .iter()
+        .zip(prep.cols.addr())
+        .all(|(c, &a)| {
+            !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
+                || (a as usize) % b1 == (a as usize) % b2
+        })
 }
 
 /// The order in which to run `cfgs` through one [`SweepSession`] to
@@ -447,12 +447,6 @@ pub fn plan_order(cfgs: &[SystemConfig]) -> Vec<usize> {
     idx
 }
 
-/// The fewest configurations for which [`run_group`] renumbers its
-/// arena: the engine group of the simulator bench puts the break-even
-/// of [`PreparedSim::in_schedule_order`] at one to three full runs on
-/// somier, and a session replays part of most runs.
-const RENUMBER_MIN_RUNS: usize = 4;
-
 /// Runs every configuration through one [`SweepSession`] in
 /// [`plan_order`], returning reports in the **caller's** order. The
 /// session-per-trace building block of the sweep planner (the bench
@@ -463,13 +457,7 @@ pub fn run_group(
     opts: SimOptions,
     cfgs: &[SystemConfig],
 ) -> Vec<SimReport> {
-    // Renumbering pays for itself within a few runs; a smaller group
-    // runs on the arena as numbered.
-    let mut sess = if cfgs.len() >= RENUMBER_MIN_RUNS {
-        SweepSession::new(prep, opts)
-    } else {
-        SweepSession::over(prep, opts)
-    };
+    let mut sess = SweepSession::new(prep, opts);
     let mut out: Vec<Option<SimReport>> = (0..cfgs.len()).map(|_| None).collect();
     let order = plan_order(cfgs);
     for (k, &i) in order.iter().enumerate() {
@@ -642,7 +630,7 @@ mod tests {
         // order.
         let trace = spad_stream_trace(192);
         let prep = Arc::new(PreparedSim::new(&trace).unwrap());
-        assert!(prep.has_spad && prep.has_stream);
+        assert!(prep.arena().has_spad && prep.arena().has_stream);
         let ladders: [&[usize]; 2] = [&[131072, 32768, 2048, 1024], &[1024, 131072, 2048, 32768]];
         for ladder in ladders {
             let mut sess = SweepSession::new(Arc::clone(&prep), SimOptions::default());
@@ -677,7 +665,7 @@ mod tests {
             (spad_stream_trace(192), false),
         ];
         for (trace, event_loop) in traces {
-            let prep = PreparedSim::new(&trace).unwrap();
+            let prep = Arena::new(&trace).unwrap();
             assert_eq!(prep.spad_or_stream(), !event_loop);
             let fresh = cold_run(&trace, &cfg, &opts);
             let mut rec = Recording::new(4, CKPT_HARD_CAP, prep.n_mem, u64::MAX);
@@ -720,7 +708,7 @@ mod tests {
         };
         let cfg = SystemConfig::with_cache_bytes(2048);
         let trace = mixed_trace_with(4, 128, true);
-        let prep = PreparedSim::new(&trace).unwrap();
+        let prep = Arena::new(&trace).unwrap();
         let fresh = cold_run(&trace, &cfg, &opts);
         let mut rec = Recording::new(4, CKPT_HARD_CAP, prep.n_mem, u64::MAX);
         run_unprobed::<true>(
@@ -733,7 +721,7 @@ mod tests {
         );
         let mut resumed = 0;
         for ckpt in &rec.ckpts {
-            let partly = |&(node, left): &(u32, u32)| left < prep.indeg0[node as usize];
+            let partly = |&(node, left): &(u32, u32)| left < prep.indeg(node as usize);
             if !ckpt.wide.iter().any(partly) {
                 continue;
             }
@@ -756,15 +744,20 @@ mod tests {
         // reports match fresh runs.
         let trace = spad_stream_trace(16);
         let prep = Arc::new(PreparedSim::new(&trace).unwrap());
-        let spad_addrs: Vec<u64> = prep
-            .accesses()
+        let arena = prep.arena();
+        let spad_addrs: Vec<u64> = arena
+            .cols
+            .class()
+            .iter()
+            .zip(arena.cols.addr())
             .filter(|(c, _)| matches!(c, OpClass::SpadLoad | OpClass::SpadStore))
-            .map(|(_, a)| a)
+            .map(|(_, &a)| a)
             .collect();
         assert!(!spad_addrs.is_empty());
         assert!(spad_addrs.iter().all(|&a| a < 16));
-        assert!(spad_map_equal(&prep, 16, 32));
-        assert!(!spad_map_equal(&prep, 16, 8));
+        assert!(spad_map_equal(&arena, 16, 32));
+        assert!(!spad_map_equal(&arena, 16, 8));
+        drop(arena);
 
         let mut sess = SweepSession::new(Arc::clone(&prep), SimOptions::default());
         for banks in [16usize, 32, 8] {

@@ -2,14 +2,14 @@
 //! global allocator (a binary of its own: the allocator is
 //! process-wide, and the one test below runs alone in it).
 //!
-//! The ledger: a `PreparedSim` owns, per node, a 4-byte key (its trace
-//! id), one packed class | flags byte, 4 bytes of initial indegree and
-//! 4 of successor offset; 4 bytes per dependence edge; 8 bytes per
-//! cache or scratchpad address plus a 16-byte presence block per 64
-//! nodes; 8 bytes per stream; and the root list. Renumbering it in
-//! schedule order holds one 4-byte scratch word per node, plus one
-//! count per level, on top of the new arena. One
-//! simulation's run state is an 8-byte ready/indegree word per node
+//! The ledger: a `PreparedSim` holds the trace's shared column block
+//! (an `Arc` clone, no allocation) plus a 1-byte initial indegree (8
+//! bytes more for each count of 255 or more) and 4 bytes of successor
+//! offset per node and 4 per dependence edge. Renumbered in schedule
+//! order it owns its columns instead (10 bytes per node, 8 per stream)
+//! and adds a 4-byte key per node; the renumbering holds one 4-byte
+//! scratch word per node, plus one count per level, on top of both
+//! arenas. One simulation's run state is an 8-byte ready/indegree word per node
 //! (plus a side table for nodes with 2^24 - 1 or more dependences, which
 //! no registry trace has); the event wheel, wait queues, MSHRs and cache
 //! come on top and do not grow with the trace.
@@ -108,76 +108,67 @@ fn trace_of(bench: &Benchmark, grad: &Gradient, func: &Function, barrier: InstId
 /// room than one more 8-byte per-node array would take.
 const RUN_FIXED: usize = 160 << 10;
 
+/// The arena's own fields and its columns' header, each behind an
+/// `Arc`: constant per arena.
+const ARENA_HEADERS: usize = 512;
+
 /// Checks the bytes `PreparedSim::new` and
-/// `PreparedSim::in_schedule_order` keep for `trace` against the arena's
-/// exact ledger, their transient peaks above that (none for the first,
-/// 4 bytes per node plus the level counts for the second), and the peak
-/// bytes one simulation allocates on each against 8 per node plus
-/// [`RUN_FIXED`].
+/// `PreparedSim::order_by_schedule` keep for `trace` against the
+/// arena's exact ledgers, their transient peaks above that (none for
+/// the first, 4 bytes per node plus the level counts for the second), and the peak bytes one simulation allocates against
+/// 8 per node plus [`RUN_FIXED`].
 fn check_footprint(label: &str, trace: &Trace) {
     let n = trace.len();
     let edges = trace.edge_count();
-    let roots = (0..n)
-        .filter(|&i| trace.deps(NodeId::new(i)).is_empty())
-        .count();
     let class = trace.columns().class();
-    let count = |f: fn(&OpClass) -> bool| class.iter().filter(|c| f(c)).count();
-    let addrs = count(|c| {
-        matches!(
-            c,
-            OpClass::MemLoad | OpClass::MemStore | OpClass::SpadLoad | OpClass::SpadStore
-        )
-    });
-    let streams = count(|c| *c == OpClass::Stream);
+    let streams = class.iter().filter(|&&c| c == OpClass::Stream).count();
+    let wide = (0..n)
+        .filter(|&i| trace.deps(NodeId::new(i)).len() >= 255)
+        .count();
 
     let before = Counting::reset_peak();
-    let plain = PreparedSim::new(trace).unwrap();
+    let prep = PreparedSim::new(trace).unwrap();
     let kept = LIVE.load(Ordering::Relaxed) - before;
     let scratch = PEAK.load(Ordering::Relaxed) - before - kept;
-    // Keys, class bytes, indegrees and successor offsets (`n + 1`), the
-    // successor payload, the sparse addresses with their presence
-    // blocks, the stream sizes and the root list, whose pushes may
-    // leave it up to twice its length.
-    let ledger = 4 * n
-        + n
-        + 4 * n
-        + 4 * (n + 1)
-        + 4 * edges
-        + 8 * addrs
-        + 16 * n.div_ceil(64)
-        + 8 * streams
-        + 8 * roots;
+    // Indegree bytes with the counts past a byte, successor offsets
+    // (`n + 1`) and the successor payload; the columns are the trace's.
+    let ledger = n + 8 * wide + 4 * (n + 1) + 4 * edges + ARENA_HEADERS;
     eprintln!(
-        "{label}: {n} nodes, {edges} edges, {addrs} addresses, {roots} roots; the arena \
-         keeps {kept} B (ledger {ledger} B, {:.2} B/node); building it peaks {scratch} B \
-         ({:.2} B/node) higher",
+        "{label}: {n} nodes, {edges} edges, {wide} past a byte; the arena keeps {kept} B \
+         (ledger {ledger} B, {:.2} B/node); building it peaks {scratch} B higher",
         kept as f64 / n as f64,
-        scratch as f64 / n as f64
     );
     assert!(kept <= ledger, "{label}: arena over its ledger");
-    // The root list's growth is the only scratch.
-    assert!(
-        scratch <= 4 * roots,
-        "{label}: build scratch above the arena"
-    );
+    assert_eq!(scratch, 0, "{label}: build scratch above the arena");
 
     let before = Counting::reset_peak();
-    let prep = plain.in_schedule_order();
-    let kept = LIVE.load(Ordering::Relaxed) - before;
+    prep.order_by_schedule();
+    // The trace-order arena is gone; the trace still holds its columns.
+    let kept = LIVE.load(Ordering::Relaxed) + kept - before;
     let scratch = PEAK.load(Ordering::Relaxed) - before - kept;
+    // Keys, the class, flag and address columns, indegrees, successor
+    // offsets and payload, and stream sizes.
+    let ledger = 4 * n
+        + (1 + 1 + 8) * n
+        + n
+        + 8 * wide
+        + 4 * (n + 1)
+        + 4 * edges
+        + 8 * streams
+        + ARENA_HEADERS;
     eprintln!(
-        "{label}: in schedule order the arena keeps {kept} B; renumbering peaks \
-         {scratch} B ({:.2} B/node) higher",
+        "{label}: in schedule order the arena keeps {kept} B (ledger {ledger} B, \
+         {:.2} B/node); renumbering peaks {scratch} B ({:.2} B/node) above both arenas",
+        kept as f64 / n as f64,
         scratch as f64 / n as f64
     );
     assert!(kept <= ledger, "{label}: renumbered arena over its ledger");
     // The level counts number at most one per node, and far fewer on
-    // any trace with parallelism: a quarter of the nodes here.
+    // any trace with parallelism.
     assert!(
         scratch <= 4 * n + n,
-        "{label}: renumbering scratch over 5 B/node above the arena"
+        "{label}: renumbering scratch over 5 B/node above the arenas"
     );
-    drop(plain);
 
     let before = Counting::reset_peak();
     let report = simulate_prepared(&prep, &SystemConfig::default(), &SimOptions::default());
