@@ -214,81 +214,48 @@ echo "== perfbench smoke (Tiny runs of the benchmark workloads) =="
 # simulate_prepared exactly as the benchmark does.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== bench-host smoke (host-throughput tracking) =="
-# One pass of the host-perf sweep: the subcommand must run end to end
-# and emit a schema-valid document. Throughput numbers are noisy in CI,
-# so only structure and the deterministic cycle totals are asserted —
-# the checked-in results/BENCH_host_perf.json records a reference run.
-cargo run --release --bin tapeflow -- \
-    bench-host --scale tiny --repeats 1 \
-    --json target/ci/BENCH_host_perf.json > /dev/null
-python3 - target/ci/BENCH_host_perf.json <<'EOF'
+echo "== perfbench ledger report =="
+# One short run of each benchmark workload. It fails only on a wrong
+# output (`correct` false or `failed` > 0) or on an end-to-end metric
+# that BENCHMARK.json names and the run does not print. Each metric's
+# ratio to the blessed median in results/BENCH_perfbench.json is
+# printed next to the ledger's IQR as a report, not a gate: the VM's
+# speed drifts by 20-30% between runs (perfbench/README.md).
+for w in cold sweep analyze; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+        > "target/ci/perfbench_$w.json"
+done
+python3 - BENCHMARK.json results/BENCH_perfbench.json <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "tapeflow.bench.host_perf/v3", doc.get("schema")
-host = doc["host"]
-assert host["logical_cpus"] > 0 and host["rustc"] and host["jobs"] > 0, host
-assert doc["ladder_bytes"] and doc["ladder_bytes"] == sorted(doc["ladder_bytes"], reverse=True)
-assert len(doc["benchmarks"]) == 9, len(doc["benchmarks"])
-for b in doc["benchmarks"]:
-    for sweep in ("cache_ladder", "mixed_sweep"):
-        s = b[sweep]
-        assert s["configs"] > 0 and s["sim_cycles"] > 0, (b["name"], sweep)
-        assert 0 < s["trace_groups"] <= s["configs"], (b["name"], sweep)
-        for run in ("session", "cold"):
-            e = s["runs"][run]
-            assert e["seconds"] > 0 and e["sim_cycles_per_sec"] > 0, (b["name"], sweep, run)
-        assert s["speedup"] > 0, (b["name"], sweep)
-    assert b["cache_ladder"]["configs"] == len(doc["ladder_bytes"])
-    assert b["cache_ladder"]["trace_groups"] == 1, b["name"]
-    assert b["mixed_sweep"]["trace_groups"] > 1, b["name"]
-assert doc["geomean_ladder_speedup"] > 0 and doc["geomean_mixed_speedup"] > 0
+bench, ledger = (json.load(open(p)) for p in sys.argv[1:3])
+names = [m["name"] for m in bench["end_to_end"]]
+bad = []
+for w in (w["name"] for w in bench["workloads"]):
+    run = json.load(open(f"target/ci/perfbench_{w}.json"))
+    ref = ledger["workloads"][w]["end_to_end"]
+    if not run["correct"] or run["failed"] > 0:
+        bad.append(f"{w}: correct={run['correct']} failed={run['failed']}")
+    for n in names:
+        if n not in run["metrics"]:
+            bad.append(f"{w}: end-to-end metric {n} missing")
+            continue
+        got, r = run["metrics"][n]["value"], ref[n]
+        print(f"{w:<8} {n:<19} {got:>10.4g}  x{got / r['median']:.2f} of ledger median "
+              f"{r['median']:.4g} (ledger IQR {(r['q3'] - r['q1']) / r['median']:.0%})")
+assert not bad, "; ".join(bad)
 EOF
-# The checked-in reference records a real run's throughput; its
-# deterministic skeleton (schema, configs, trace groups, cycle totals)
-# must match what this tree produces. Compare both sides wall-scrubbed:
-# the fresh run via --stable-json, the reference via the same scrub
-# applied in flight.
-cargo run --release --bin tapeflow -- \
-    bench-host --scale tiny --repeats 1 --stable-json \
-    --json target/ci/BENCH_host_perf_stable.json > /dev/null
-python3 - results/BENCH_host_perf.json target/ci/BENCH_host_perf_stable.json <<'EOF'
-import json, sys
-ref, fresh = (json.load(open(p)) for p in sys.argv[1:3])
-ref["host"] = {"logical_cpus": 0, "rustc": "", "opt_level": "", "jobs": 0}
-for b in ref["benchmarks"]:
-    for sweep in ("cache_ladder", "mixed_sweep"):
-        s = b[sweep]
-        s["speedup"] = 0.0
-        for e in s["runs"].values():
-            e["seconds"] = 0.0
-            e["sim_cycles_per_sec"] = 0.0
-ref["geomean_ladder_speedup"] = ref["geomean_mixed_speedup"] = 0.0
-assert ref == fresh, "results/BENCH_host_perf.json skeleton drifted; re-bless with: " \
-    "cargo run --release --bin tapeflow -- bench-host --scale tiny --repeats 15 " \
-    "--json results/BENCH_host_perf.json"
-EOF
-# The subset/parallel/stable path: a two-benchmark run on two workers
-# must produce a byte-reproducible document under --stable-json (wall
-# and host fields zeroed, deterministic structure identical run to run).
-cargo run --release --bin tapeflow -- \
-    bench-host --scale tiny --repeats 1 --benchmarks gravity,logsum --jobs 2 \
-    --stable-json --json target/ci/BENCH_host_perf_stable_a.json > /dev/null
-cargo run --release --bin tapeflow -- \
-    bench-host --scale tiny --repeats 1 --benchmarks gravity,logsum --jobs 2 \
-    --stable-json --json target/ci/BENCH_host_perf_stable_b.json > /dev/null
-diff -q target/ci/BENCH_host_perf_stable_a.json target/ci/BENCH_host_perf_stable_b.json
 
 echo "== experiments regression (tiny scale, stable JSON) =="
 # Regenerate the machine-readable results at tiny scale with every
 # wall-clock field zeroed and diff against the checked-in reference —
-# stall breakdowns, provenance-resolved hot spots and the host-perf
-# fold included (the scrub leaves only deterministic structure and
-# cycle counters, so the document is byte-stable by construction).
+# stall breakdowns and provenance-resolved hot spots included (the
+# scrub leaves only deterministic structure and cycle counters, so the
+# document is byte-stable by construction).
 # Catches perf-model / accounting drift that unit tests miss.
 cargo run --release -p tapeflow-bench --bin experiments -- \
     all --scale tiny --jobs 2 --stable-json --stall-breakdown --hot-spots \
-    --host-perf --json target/ci/BENCH_experiments_tiny.json > /dev/null
+    --json target/ci/BENCH_experiments_tiny.json > /dev/null
 if ! diff -u results/BENCH_experiments_tiny.json \
         target/ci/BENCH_experiments_tiny.json > target/ci/experiments.diff; then
     echo "experiments output drifted from results/BENCH_experiments_tiny.json:"

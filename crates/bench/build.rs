@@ -1,7 +1,7 @@
-//! Captures build provenance for the host-perf report: throughput
+//! Captures build provenance for the benchmark's host line: throughput
 //! numbers are meaningless without knowing the compiler and opt-level
 //! that produced the binary, so both are baked in as env vars and
-//! surfaced in the `host` section of `tapeflow.bench.host_perf/v3`.
+//! surfaced by `hostperf::host_meta` in every perfbench run.
 
 fn main() {
     let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());

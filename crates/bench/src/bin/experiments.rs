@@ -21,14 +21,13 @@
 //! `--stable-json` scrubbing to stay reproducible. `--hot-spots`
 //! likewise folds a `hot_spots` array per entry: the heaviest
 //! instructions by attributed PE-cycles, resolved through the IR
-//! provenance chain to their source ops, regions and layers. `--host-perf` times
-//! the sweep through sweep sessions against cold per-point runs (the
-//! `tapeflow bench-host` measurement) and folds a `host_perf` section
-//! in; its wall-derived fields are zeroed under `--stable-json`.
+//! provenance chain to their source ops, regions and layers. Host-speed
+//! figures are not part of this document: they come from the repository
+//! benchmark (`perfbench/`, reference run in `results/BENCH_perfbench.json`).
 
 use std::path::PathBuf;
 use tapeflow_bench::experiments::{Lab, IDS};
-use tapeflow_bench::{hostperf, pool};
+use tapeflow_bench::pool;
 use tapeflow_benchmarks::Scale;
 use tapeflow_sim::json::Value;
 
@@ -42,7 +41,6 @@ fn main() {
     let mut stable_json = false;
     let mut stall_breakdown = false;
     let mut hot_spots = false;
-    let mut host_perf = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -91,13 +89,12 @@ fn main() {
             "--stable-json" => stable_json = true,
             "--stall-breakdown" => stall_breakdown = true,
             "--hot-spots" => hot_spots = true,
-            "--host-perf" => host_perf = true,
             "all" => ids.extend(IDS.iter().map(|s| s.to_string())),
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [all | <id>...] [--scale tiny|small|large] \
                      [--csv DIR] [--jobs N] [--json PATH|-] [--stable-json] \
-                     [--stall-breakdown] [--hot-spots] [--host-perf]"
+                     [--stall-breakdown] [--hot-spots]"
                 );
                 println!("ids: {}", IDS.join(" "));
                 return;
@@ -180,23 +177,6 @@ fn main() {
             .set("experiments", Value::Arr(experiments_json))
             .set("passes", Value::Arr(passes))
             .set("benchmarks", sweep);
-        if host_perf {
-            // Fold the host-throughput sweep in. Under --stable-json the
-            // wall-derived fields (seconds, cycles/sec, speedups) are
-            // zeroed — only the structure and simulated-cycle totals
-            // stay, which are deterministic.
-            let start = std::time::Instant::now();
-            let results = hostperf::measure(scale, 1, jobs);
-            eprintln!(
-                "[host-perf sweep done in {:.1}s; geomean speedup {:.2}x]",
-                start.elapsed().as_secs_f64(),
-                hostperf::geomean_speedup(&results)
-            );
-            doc.set(
-                "host_perf",
-                hostperf::host_perf_json(&results, scale, &hostperf::host_meta(jobs), stable_json),
-            );
-        }
         doc.set(
             "total_wall_clock_seconds",
             if stable_json {

@@ -1232,8 +1232,8 @@ impl Lab {
     }
 
     /// The canonical per-benchmark configuration sweep reported in the
-    /// machine-readable results document (and timed by
-    /// [`crate::hostperf`], so the host-throughput numbers describe the
+    /// machine-readable results document (and timed by perfbench's
+    /// `sweep` workload, so the host-throughput numbers describe the
     /// sweep CI actually regenerates).
     pub fn json_configs() -> Vec<Config> {
         vec![

@@ -14,6 +14,7 @@ mod oracle;
 use std::sync::Arc;
 use tapeflow_bench::experiments::Lab;
 use tapeflow_bench::harness::{sys_for, Config, Prepared, SweepPlanner};
+use tapeflow_bench::hostperf::LADDER;
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
 use tapeflow_ir::trace::{trace_function, TraceOptions};
 use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Op, Scalar, Trace};
@@ -467,6 +468,45 @@ fn sweep_session_derives_cold_run_reports() {
                 .render();
             assert_eq!(derived, event, "{name}@{bytes}: session vs cold event run");
             assert_eq!(derived, oracle, "{name}@{bytes}: session vs oracle");
+        }
+    }
+}
+
+#[test]
+fn ladder_session_derives_cold_run_reports() {
+    // The benchmark's cache ladder, driven the way `run_group` drives a
+    // session: all points, descending, with the exact remaining-plan
+    // length as lookahead. Every point must match a cold event run byte
+    // for byte (the oracle is covered by the sweeps above and would
+    // dominate debug-mode run time here), and the ladder must plan as
+    // a single trace group.
+    let opts = SimOptions::default();
+    for name in NAMES {
+        let mut p = Prepared::new(by_name(name, Scale::Tiny));
+        let units: Vec<(Config, SystemConfig)> = LADDER
+            .iter()
+            .map(|&b| (Config::enzyme(b), SystemConfig::with_cache_bytes(b)))
+            .collect();
+        assert_eq!(
+            SweepPlanner::new(&mut p, &units, false).group_count(),
+            1,
+            "{name}: the ladder shares one gradient trace"
+        );
+        let prep = p
+            .try_prepared_sim(&units[0].0)
+            .expect("gradient always preps");
+        let mut session = SweepSession::new(Arc::clone(&prep), opts);
+        for (k, (_, sys)) in units.iter().enumerate() {
+            let derived = session
+                .simulate_lookahead(sys, units.len() - k - 1)
+                .to_json()
+                .render();
+            let cold = simulate_prepared(&prep, sys, &opts).to_json().render();
+            assert_eq!(
+                derived, cold,
+                "{name}@{}: ladder session vs cold event run",
+                sys.cache.size_bytes
+            );
         }
     }
 }

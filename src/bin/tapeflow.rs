@@ -22,10 +22,6 @@
 //!                                                     error-severity finding or
 //!                                                     dynamic-oracle escape
 //! tapeflow passes                                 list registered passes
-//! tapeflow bench-host [--scale S] [--repeats N]   time the configuration sweep through
-//!                    [--benchmarks a,b] [--jobs N]    sweep sessions against cold
-//!                    [--stable-json] [--json PATH]    per-point runs; writes
-//!                                                     results/BENCH_host_perf.json
 //! ```
 //!
 //! `compile`, `simulate` and `profile` drive the `tapeflow_core::pipeline`
@@ -58,18 +54,11 @@
 //! unwritable `--trace-out`/`--json`/`--flame-out` is a usage error
 //! (exit 2) before the simulation runs, not a panic after it.
 //!
-//! `bench-host` times each benchmark's cache ladder and mixed sweep
-//! twice: through the sweep sessions that reuse earlier points' work,
-//! and as cold `simulate_prepared` runs of every point on the same
-//! arena (the reports are identical; the speedup is what reuse buys).
-//! `--benchmarks a,b` restricts the run to a registry subset (an
-//! unknown name is a usage error that lists the registry), `--jobs N`
-//! sets the worker count for the mixed sweep's trace-group fan-out
-//! (default: all logical CPUs; the reports are byte-identical at any
-//! count), and `--stable-json` zeroes the wall-clock and host-identity
-//! fields of the JSON document (schema `tapeflow.bench.host_perf/v3`,
-//! which carries a `host` section: logical CPUs, rustc version,
-//! opt-level, job count) so the bytes reproduce across machines.
+//! Host-speed figures come from the repository benchmark, not from this
+//! tool: `cargo run --release --offline --manifest-path
+//! perfbench/Cargo.toml -- --workload <cold|sweep|analyze> --seed N
+//! --seconds N --trace 0|1`, with a reference run in
+//! `results/BENCH_perfbench.json`.
 //!
 //! `FILE` is textual IR in the `pretty`/`parse` format (see
 //! `tapeflow_ir::parse`). For `simulate`, `f64` inputs are filled with a
@@ -103,7 +92,7 @@
 
 use std::process::ExitCode;
 use tapeflow::autodiff::{differentiate, AdOptions, Gradient, TapePolicy};
-use tapeflow::bench::{attr, hostperf, pool};
+use tapeflow::bench::attr;
 use tapeflow::benchmarks::{self, Benchmark, Scale};
 use tapeflow::core::compress::SlotEncoding;
 use tapeflow::core::compress::TapeEncoding;
@@ -124,6 +113,11 @@ use tapeflow::sim::{
 /// of this many cycles is recorded in full.
 const SAMPLE_WINDOW: u64 = 256;
 
+/// Every subcommand; anything else is a usage error.
+const COMMANDS: [&str; 8] = [
+    "show", "opt", "grad", "compile", "simulate", "profile", "lint", "passes",
+];
+
 struct Args {
     file: String,
     wrt: Vec<String>,
@@ -141,37 +135,35 @@ struct Args {
     time_passes: bool,
     lint_after_all: bool,
     scale: Scale,
-    repeats: usize,
     by_inst: bool,
     top: usize,
     sample: Option<u64>,
     flame_out: Option<String>,
-    benchmarks: Option<Vec<String>>,
-    jobs: Option<usize>,
-    stable_json: bool,
     check_dynamic: bool,
     explain: Option<String>,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tapeflow <show|opt|grad|compile|simulate|profile|lint|passes|bench-host> \
-         FILE|NAME \
+        "usage: tapeflow <{}> FILE|NAME \
          [--wrt a,b] [--loss l] [--spad-bytes N] [--cache-bytes N] \
          [--aos-only] [--compress-tape] [--single-buffer] \
          [--policy minimal|conservative|all] \
          [--passes a,b,c] [--print-after-all] [--time-passes] [--lint-after-all] \
-         [--scale tiny|small|large] [--repeats N] \
+         [--scale tiny|small|large] \
          [--by-inst] [--top N] [--sample N] [--flame-out PATH] \
-         [--benchmarks a,b] [--jobs N] [--stable-json] \
          [--check-dynamic] [--explain RULE] \
-         [--json PATH] [--trace-out PATH]"
+         [--json PATH] [--trace-out PATH]",
+        COMMANDS.join("|")
     );
     ExitCode::from(2)
 }
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), String> {
     let cmd = argv.next().ok_or("missing command")?;
+    if !COMMANDS.contains(&cmd.as_str()) {
+        return Err(format!("unknown command {cmd:?}"));
+    }
     let mut args = Args {
         file: String::new(),
         wrt: Vec::new(),
@@ -189,14 +181,10 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
         time_passes: false,
         lint_after_all: false,
         scale: Scale::default(),
-        repeats: 5,
         by_inst: false,
         top: 10,
         sample: None,
         flame_out: None,
-        benchmarks: None,
-        jobs: None,
-        stable_json: false,
         check_dynamic: false,
         explain: None,
     };
@@ -249,20 +237,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             "--flame-out" => {
                 args.flame_out = Some(argv.next().ok_or("--flame-out needs a path")?);
             }
-            "--benchmarks" => {
-                let v = argv
-                    .next()
-                    .ok_or("--benchmarks needs a comma-separated list")?;
-                args.benchmarks = Some(v.split(',').map(str::to_string).collect());
-            }
-            "--jobs" => {
-                args.jobs = Some(
-                    argv.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--jobs needs a number (0 = auto)")?,
-                );
-            }
-            "--stable-json" => args.stable_json = true,
             "--check-dynamic" => args.check_dynamic = true,
             "--explain" => args.explain = Some(argv.next().ok_or("--explain needs a rule name")?),
             "--print-after-all" => args.print_after_all = true,
@@ -276,13 +250,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
                     other => return Err(format!("unknown scale {other:?}")),
                 };
             }
-            "--repeats" => {
-                args.repeats = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--repeats needs a positive number")?;
-            }
             "--policy" => {
                 args.policy = match argv.next().as_deref() {
                     Some("minimal") => TapePolicy::Minimal,
@@ -295,8 +262,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let standalone =
-        cmd == "passes" || cmd == "bench-host" || (cmd == "lint" && args.explain.is_some());
+    let standalone = cmd == "passes" || (cmd == "lint" && args.explain.is_some());
     if args.file.is_empty() && !standalone {
         return Err("missing input file".into());
     }
@@ -819,54 +785,6 @@ fn run() -> Result<ExitCode, String> {
         }
         return Ok(ExitCode::SUCCESS);
     }
-    if cmd == "bench-host" {
-        // Host-throughput tracking: each selected benchmark's cache
-        // ladder and mixed sweep, timed through sweep sessions and as
-        // cold per-point runs (min of --repeats runs). --benchmarks narrows the registry; an
-        // unknown name is a usage error that lists what exists.
-        let names: Vec<&'static str> = match &args.benchmarks {
-            None => benchmarks::NAMES.to_vec(),
-            Some(list) => list
-                .iter()
-                .map(|n| {
-                    benchmarks::NAMES
-                        .iter()
-                        .copied()
-                        .find(|&k| k == n.as_str())
-                        .ok_or_else(|| {
-                            format!(
-                                "unknown benchmark {n:?}; registered benchmarks: {}",
-                                benchmarks::NAMES.join(", ")
-                            )
-                        })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let (jobs, note) = pool::clamp_jobs(args.jobs.unwrap_or(0));
-        if let Some(note) = note.filter(|_| args.jobs.is_some()) {
-            eprintln!("tapeflow: {note}");
-        }
-        let results = hostperf::measure_named(&names, args.scale, args.repeats, jobs);
-        print!("{}", hostperf::render_table(&results));
-        let path = args
-            .json
-            .as_deref()
-            .unwrap_or("results/BENCH_host_perf.json");
-        if path != "-" {
-            let meta = hostperf::host_meta(jobs);
-            let doc = hostperf::host_perf_json(&results, args.scale, &meta, args.stable_json);
-            if let Some(dir) = std::path::Path::new(path)
-                .parent()
-                .filter(|d| !d.as_os_str().is_empty())
-            {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            }
-            std::fs::write(path, doc.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("// machine-readable report: {path}");
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
     if cmd == "lint" {
         if let Some(rule) = &args.explain {
             explain_cmd(rule)?;
@@ -1296,7 +1214,7 @@ fn run() -> Result<ExitCode, String> {
                 return Ok(ExitCode::FAILURE);
             }
         }
-        other => return Err(format!("unknown command {other:?}")),
+        _ => unreachable!("parse_args admits only COMMANDS"),
     }
     Ok(ExitCode::SUCCESS)
 }

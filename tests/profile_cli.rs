@@ -358,6 +358,25 @@ fn removed_engine_flag_is_a_usage_error() {
 }
 
 #[test]
+fn removed_bench_host_command_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tapeflow"))
+        .arg("bench-host")
+        .output()
+        .expect("run tapeflow bench-host");
+    assert_eq!(out.status.code(), Some(2), "expected usage-error exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#"unknown command "bench-host""#),
+        "unhelpful error: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "ran despite the error: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
 fn validates_trace_file_from_env() {
     let Some(path) = std::env::var_os("TAPEFLOW_TRACE_VALIDATE") else {
         return;
